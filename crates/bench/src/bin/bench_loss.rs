@@ -22,6 +22,7 @@ use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut
 use past_crypto::rng::Rng;
 use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimBackend, Sphere, TraceConfig};
 use past_pastry::{random_ids, Config as PastryConfig, PastryNode, RecoveryConfig};
+use past_trace::TraceEvent;
 use std::time::Instant;
 
 const MB: u64 = 1 << 20;
@@ -125,9 +126,11 @@ where
     B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
 {
     net.sim.set_recovery(RecoveryConfig::default());
-    // Metrics only: per-kind drop/duplicate attribution without paying
-    // for event records.
-    net.sim.engine.set_tracing(TraceConfig::metrics_only());
+    // Message records give the per-kind drop/duplicate attribution.
+    net.sim.engine.set_tracing(TraceConfig {
+        messages: true,
+        ..TraceConfig::off()
+    });
     // The flight recorder attributes the same drops/duplicates to sim-time
     // windows; sampling is observation only and perturbs no counter.
     net.sim
@@ -193,23 +196,37 @@ where
             _ => {}
         }
     }
-    {
+    let kinds: Vec<&'static str> = {
         let stats = net.sim.engine.stats();
         lvl.dropped = stats.dropped;
         lvl.duplicated = stats.duplicated;
         lvl.failed_sends = stats.failed_sends;
         lvl.total_msgs = stats.total_msgs;
-    }
+        stats.by_kind().map(|(k, _)| k).collect()
+    };
     // `take_tracer` merges the per-shard sinks on the sharded backend;
     // reading the harness tracer alone would miss every shard-side
     // drop/duplicate record.
     let tracer = net.sim.engine.take_tracer();
-    let metrics = &tracer.metrics;
-    lvl.dropped_by_kind = metrics.dropped_by_kind().filter(|(_, c)| *c > 0).collect();
-    lvl.duplicated_by_kind = metrics
-        .duplicated_by_kind()
-        .filter(|(_, c)| *c > 0)
-        .collect();
+    let mut dropped = vec![0u64; kinds.len()];
+    let mut duplicated = vec![0u64; kinds.len()];
+    for r in tracer.records() {
+        match r.ev {
+            TraceEvent::MsgDrop { kind, .. } => dropped[kind] += 1,
+            TraceEvent::MsgDup { kind, .. } => duplicated[kind] += 1,
+            _ => {}
+        }
+    }
+    let nonzero = |counts: Vec<u64>| {
+        kinds
+            .iter()
+            .copied()
+            .zip(counts)
+            .filter(|(_, c)| *c > 0)
+            .collect()
+    };
+    lvl.dropped_by_kind = nonzero(dropped);
+    lvl.duplicated_by_kind = nonzero(duplicated);
     if let Some(series) = tracer.series() {
         for (start, w) in series.windows() {
             let (drops, dups) = (w.counter("dropped"), w.counter("duplicated"));

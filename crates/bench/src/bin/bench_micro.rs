@@ -1,10 +1,12 @@
-//! `bench_micro` — microbenchmarks of the measured hot paths, published
-//! as `BENCH_micro.json` at the repository root.
+//! `bench_micro` — microbenchmarks of the hot primitives, published as
+//! `BENCH_micro.json` at the repository root.
 //!
-//! Covers the three paths the performance work targets: the crypto layer
-//! (Schnorr sign/verify and the modular reduction under them), the Pastry
-//! routing step, and the simulator engine / topology proximity queries.
-//! Successive PRs regenerate the file, leaving a perf trajectory.
+//! Covers the crypto layer (hashing, Schnorr sign/verify and the modular
+//! reduction under them), PAST certificates and the cache, Pastry
+//! identifier arithmetic, the routing step, routing-state maintenance and
+//! a whole route on a 10k-node overlay, and the simulator engine /
+//! topology proximity queries. Successive PRs regenerate the file,
+//! leaving a perf trajectory.
 //!
 //! Usage: `cargo run --release -p past-bench --bin bench_micro --
 //! [--smoke] [--out PATH]`. `--smoke` shrinks the measurement budget to a
@@ -12,12 +14,18 @@
 //! JSON; timings in smoke mode are meaningless).
 
 use past_bench::{json, Bench, Measurement};
+use past_core::cache::Cache;
+use past_core::{Broker, ContentRef};
 use past_crypto::modmath::{mulmod, powmod};
 use past_crypto::rng::Rng;
+use past_crypto::sha1::sha1;
+use past_crypto::sha256::sha256;
 use past_crypto::u256::U256;
 use past_crypto::KeyPair;
 use past_netsim::{Addr, Ctx, Engine, Message, NodeLogic, Plane, Sphere, Topology, UniformRandom};
-use past_pastry::{next_hop, Config, Id, NodeHandle, PastryState};
+use past_pastry::{
+    next_hop, random_ids, static_build, Config, Id, NodeHandle, NullApp, PastryState,
+};
 use std::hint::black_box;
 
 /// A toy protocol for timing the engine's event loop: every Ping is
@@ -55,6 +63,17 @@ impl NodeLogic for PingNode {
 }
 
 fn bench_crypto(b: &mut Bench) {
+    b.group("crypto/hash");
+    for size in [64usize, 4096, 65536] {
+        let data = vec![0xabu8; size];
+        b.run_bytes(&format!("sha256/{size}"), size as u64, || {
+            black_box(sha256(black_box(&data)))
+        });
+        b.run_bytes(&format!("sha1/{size}"), size as u64, || {
+            black_box(sha1(black_box(&data)))
+        });
+    }
+
     b.group("crypto/schnorr");
     let kp = KeyPair::from_seed(b"bench");
     let msg = b"a store receipt-sized message for signing benchmarks";
@@ -78,6 +97,53 @@ fn bench_crypto(b: &mut Bench) {
     });
 }
 
+fn bench_past(b: &mut Bench) {
+    b.group("past/certificates");
+    let mut broker = Broker::new(b"bench");
+    let content = ContentRef::synthetic(0, "bench", 1 << 20);
+    let mut card = broker.issue_card(b"issuer", u64::MAX / 2, 0);
+    let mut salt = 0u64;
+    b.run("issue_file_certificate", || {
+        salt += 1;
+        black_box(
+            card.issue_file_certificate("bench", &content, 3, salt, 0)
+                .expect("quota"),
+        )
+    });
+    let mut card2 = broker.issue_card(b"user2", u64::MAX / 2, 0);
+    let cert = card2
+        .issue_file_certificate("bench", &content, 3, 0, 0)
+        .expect("quota");
+    b.run("verify_file_certificate", || {
+        black_box(cert.verify(black_box(&broker.public())))
+    });
+
+    b.group("past/cache");
+    let mut broker = Broker::new(b"cache-bench");
+    let mut card = broker.issue_card(b"u", u64::MAX / 2, 0);
+    let certs: Vec<_> = (0..256u64)
+        .map(|i| {
+            let name = format!("c{i}");
+            let content = ContentRef::synthetic(0, &name, 1 + (i * 37) % 10_000);
+            card.issue_file_certificate(&name, &content, 1, i, 0)
+                .expect("quota")
+        })
+        .collect();
+    b.run("offer_evict_cycle", || {
+        let mut cache = Cache::new();
+        for cert in &certs {
+            black_box(cache.offer(cert, 100_000));
+        }
+        cache.len()
+    });
+    let mut warm = Cache::new();
+    for cert in &certs {
+        warm.offer(cert, 1 << 30);
+    }
+    let probe = certs[17].file_id;
+    b.run("lookup_hit", || black_box(warm.lookup(black_box(&probe))));
+}
+
 fn routing_state(n: usize, seed: u64, randomization: f64) -> PastryState {
     let mut cfg = Config::default();
     cfg.route_randomization = randomization;
@@ -93,6 +159,17 @@ fn routing_state(n: usize, seed: u64, randomization: f64) -> PastryState {
 }
 
 fn bench_routing(b: &mut Bench) {
+    b.group("pastry/id");
+    let a = Id(0x0123_4567_89ab_cdef_0f1e_2d3c_4b5a_6978);
+    let b_ = Id(0x0123_4567_89ab_cde0_0000_0000_0000_0000);
+    b.run("prefix_len", || {
+        black_box(black_box(a).prefix_len(black_box(&b_), 4))
+    });
+    b.run("ring_dist", || {
+        black_box(black_box(a).ring_dist(black_box(&b_)))
+    });
+    b.run("digit", || black_box(black_box(a).digit(black_box(17), 4)));
+
     b.group("pastry/route");
     let st = routing_state(1_000, 7, 0.0);
     let mut key_rng = Rng::seed_from_u64(9);
@@ -105,6 +182,40 @@ fn bench_routing(b: &mut Bench) {
     b.run("next_hop_randomized", || {
         let key = Id(key_rng.random());
         black_box(next_hop(&st_rand, &key, &mut step_rng))
+    });
+
+    b.group("pastry/state");
+    let mut rng = Rng::seed_from_u64(11);
+    let base = routing_state(200, 12, 0.0);
+    b.run("add_node", || {
+        let mut st = base.clone();
+        let h = NodeHandle::new(Id(rng.random()), 999);
+        let d: u64 = rng.random_range(1..50_000);
+        black_box(st.add_node(h, d));
+    });
+    let base2 = routing_state(200, 13, 0.0);
+    b.run("remove_addr", || {
+        let mut st = base2.clone();
+        black_box(st.remove_addr(100));
+    });
+
+    b.group("pastry/end_to_end");
+    let n = 10_000;
+    let mut rng = Rng::seed_from_u64(21);
+    let ids = random_ids(n, &mut rng);
+    let mut sim = static_build(
+        Sphere::new(n, 21),
+        Config::default(),
+        21,
+        &ids,
+        |_| NullApp,
+        2,
+    );
+    b.run("route_10k_nodes", || {
+        let key = Id(rng.random());
+        let from = rng.random_range(0..n);
+        sim.route(from, key, ());
+        black_box(sim.drain_deliveries().len())
     });
 }
 
@@ -174,6 +285,7 @@ fn main() {
         b.target_sample_ns = 200_000;
     }
     bench_crypto(&mut b);
+    bench_past(&mut b);
     bench_routing(&mut b);
     bench_engine(&mut b);
     bench_topology(&mut b);

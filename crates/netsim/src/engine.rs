@@ -516,7 +516,7 @@ impl<N: NodeLogic, T: Topology> Engine<N, T> {
         self.tracer.set_series(cfg);
     }
 
-    /// The trace sink (records + metrics registry).
+    /// The trace sink (records and flight recorder).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
@@ -1194,10 +1194,87 @@ mod tests {
         )));
         assert!(has(&|ev| matches!(ev, TraceEvent::MsgRecv { to: 1, .. })));
         assert!(has(&|ev| matches!(ev, TraceEvent::MsgFail { to: 2, .. })));
-        // The per-kind metrics saw the same traffic.
-        assert_eq!(
-            e.tracer().metrics.failed_by_kind().next(),
-            Some(("ping", 1))
+    }
+
+    /// Message records carry the per-kind fault attribution: their
+    /// counts equal the engine totals in `NetStats` on both backends,
+    /// and per kind they agree across backends. The backends draw
+    /// faults from different RNG streams (see `backend.rs`), so the
+    /// fault rates are 0 or 1 to make the per-kind counts exact.
+    #[test]
+    fn fault_records_match_net_stats_on_both_backends() {
+        use crate::backend::SimBackend;
+        use crate::shard::{ShardConfig, ShardedEngine};
+        use past_trace::TraceEvent;
+
+        fn run<B: SimBackend<PingNode>>(e: &mut B) -> [[u64; 2]; 3] {
+            e.set_tracing(TraceConfig {
+                messages: true,
+                ..TraceConfig::off()
+            });
+            e.kill(7);
+            // Duplicating phase: every ping, pong and dead-destination
+            // send crosses the link twice.
+            e.set_faults(
+                FaultConfig {
+                    loss: 0.0,
+                    duplicate: 1.0,
+                    jitter_us: 700,
+                },
+                5,
+            );
+            for i in 0..7 {
+                e.inject(i, (i + 1) % 8, PingMsg::Ping(i as u32), 0);
+            }
+            e.run_until_quiet(10_000);
+            // Lossy phase: everything on a link is dropped.
+            e.set_faults(
+                FaultConfig {
+                    loss: 1.0,
+                    duplicate: 0.0,
+                    jitter_us: 700,
+                },
+                6,
+            );
+            for i in 0..5 {
+                e.inject(i, i + 2, PingMsg::Ping(0), 0);
+            }
+            for i in 0..3 {
+                e.inject(i, i + 1, PingMsg::Pong(0), 0);
+            }
+            e.run_until_quiet(10_000);
+
+            let mut by_kind = [[0u64; 2]; 3];
+            for r in e.take_tracer().records() {
+                match r.ev {
+                    TraceEvent::MsgDrop { kind, .. } => by_kind[0][kind] += 1,
+                    TraceEvent::MsgDup { kind, .. } => by_kind[1][kind] += 1,
+                    TraceEvent::MsgFail { kind, .. } => by_kind[2][kind] += 1,
+                    _ => {}
+                }
+            }
+            let st = e.stats();
+            let totals = by_kind.map(|k| k.iter().sum::<u64>());
+            assert_eq!(totals, [st.dropped, st.duplicated, st.failed_sends]);
+            by_kind
+        }
+
+        let mut seq = engine(8);
+        let topo = UniformRandom::new(8, 42, 1_000, 5_000);
+        let nodes = (0..8).map(|_| PingNode::default()).collect();
+        let mut sharded = ShardedEngine::new(
+            topo,
+            nodes,
+            7,
+            ShardConfig {
+                shards: 2,
+                window_us: 1_000,
+            },
         );
+        let seq_counts = run(&mut seq);
+        assert_eq!(seq_counts, run(&mut sharded));
+        // 6 pings + 12 pongs duplicated on live links, the ping to node
+        // 7 duplicated and failed twice; 5 pings and 3 pongs dropped.
+        assert_eq!(seq_counts, [[5, 3], [7, 12], [2, 0]]);
     }
 }

@@ -19,7 +19,6 @@ pub mod engine;
 pub mod event;
 pub mod shard;
 pub mod soa;
-pub mod stats;
 pub mod time;
 pub mod topology;
 pub mod wheel;
@@ -28,11 +27,8 @@ pub use backend::{Backend, SimBackend, WindowTooWide};
 pub use engine::{Ctx, Engine, FaultConfig, Message, NetStats, NodeLogic};
 pub use shard::{ShardConfig, ShardedEngine};
 pub use soa::NodeIo;
-pub use stats::{summarize, Histogram, Summary};
 pub use time::SimTime;
 pub use topology::{Addr, Plane, Sphere, Topology, TransitStub, UniformRandom};
 // The trace layer's core handles, re-exported so node logic written
 // against this engine can name them without a separate dependency.
-// (`past_trace::Histogram` is *not* re-exported: `stats::Histogram`
-// already owns that name here.)
 pub use past_trace::{OpId, SeriesConfig, TimeSeries, TraceConfig, Tracer};

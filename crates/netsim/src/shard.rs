@@ -703,7 +703,7 @@ where
     }
 
     /// Takes the full trace out of the engine: absorbs every shard's
-    /// records and metrics into the harness trace and sorts the result
+    /// records and series into the harness trace and sorts the result
     /// canonically, so the merged trace is identical under any shard
     /// count. Leaves fresh disabled sinks behind.
     pub fn take_tracer(&mut self) -> Tracer {

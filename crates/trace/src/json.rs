@@ -1,6 +1,6 @@
 //! Minimal JSON emission and validation.
 //!
-//! Both the trace/metrics exports of this crate and the bench binaries'
+//! Both the trace and series exports of this crate and the bench binaries'
 //! `BENCH_*.json` documents (re-exported as `past_bench::json`) are
 //! produced through this module. The workspace is hermetic (no serde),
 //! so it provides the ~hundred lines actually needed: an object/array
@@ -66,10 +66,16 @@ impl Obj {
         self
     }
 
-    /// Adds a float field (one decimal, JSON-finite).
+    /// Adds a float field as the shortest text that parses back to the
+    /// same `f64` (JSON-finite: NaN and infinities become `0.0`).
+    ///
+    /// Rust's `Debug` form is used: it keeps a `.0` on whole numbers and
+    /// switches to an exponent only for very small or very large
+    /// magnitudes, and both shapes are valid JSON numbers. A fixed-digit
+    /// format would publish a 1% loss rate as `0.0`.
     pub fn num(mut self, k: &str, v: f64) -> Obj {
         let v = if v.is_finite() { v } else { 0.0 };
-        self.key(k).push_str(&format!("{v:.1}"));
+        self.key(k).push_str(&format!("{v:?}"));
         self
     }
 
@@ -272,7 +278,21 @@ mod tests {
             .build();
         validate(&doc).expect("builder output must validate");
         assert!(doc.contains("\"schema\": \"past-bench/v1\""));
-        assert!(doc.contains("\"wall_ms\": 12.3"));
+        assert!(doc.contains("\"wall_ms\": 12.345"));
+    }
+
+    #[test]
+    fn numbers_round_trip_exactly() {
+        for v in [0.01, 0.05, 3.212, 1e-7, 1.0 / 3.0, 12.0, 6.02e23, -0.5] {
+            let doc = Obj::new().num("x", v).build();
+            validate(&doc).expect("emitted number must be valid JSON");
+            let text = doc
+                .strip_prefix("{\"x\": ")
+                .and_then(|t| t.strip_suffix('}'))
+                .expect("one-field object");
+            let back: f64 = text.parse().expect("emitted number must parse");
+            assert_eq!(back.to_bits(), v.to_bits(), "{v} emitted as {text}");
+        }
     }
 
     #[test]

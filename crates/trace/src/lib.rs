@@ -1,4 +1,4 @@
-//! Deterministic structured tracing and metrics for the PAST simulator.
+//! Deterministic structured tracing for the PAST simulator.
 //!
 //! The simulator's results used to be computed from end-state snapshots
 //! and flat traffic counters; this crate gives it an *execution
@@ -9,10 +9,9 @@
 //!   phases, suspicion, operation lifecycle) stamped with **simulated
 //!   time** — never wall clock — and a causal [`OpId`] so one client
 //!   insert can be reconstructed hop by hop across nodes;
-//! - a [`Metrics`] registry: per-message-kind and per-node counters,
-//!   gauges, and fixed-bucket integer [`Histogram`]s (route latency,
-//!   hop count, retry count) with exact rank-based percentile
-//!   extraction;
+//! - the [`TimeSeries`] flight recorder: counters, gauges and
+//!   fixed-bucket integer [`Histogram`]s (exact rank-based
+//!   percentiles) bucketed by simulated-time window;
 //! - the analyzer ([`analyze`] + the `tracecheck` binary) that rebuilds
 //!   per-operation timelines from a JSONL trace and reports stuck
 //!   operations, replica fan-out vs. `k`, and the hop distribution vs.
@@ -29,8 +28,6 @@
 pub mod analyze;
 pub mod json;
 pub mod timeseries;
-
-use std::collections::BTreeMap;
 
 pub use timeseries::{SeriesConfig, TimeSeries};
 
@@ -55,8 +52,9 @@ impl OpId {
 
 /// Which event classes a [`Tracer`] records.
 ///
-/// The all-false default records nothing; `metrics` additionally gates
-/// the counter/histogram registry so a pure event trace stays cheap.
+/// The all-false default records nothing. Run totals live in the
+/// engine's `NetStats`; finer counts come from these records or from an
+/// attached [`TimeSeries`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Per-message events: send, recv, drop, duplicate, dead-dest fail.
@@ -67,8 +65,6 @@ pub struct TraceConfig {
     pub overlay: bool,
     /// Operation lifecycle: start, retry, end, replica stored.
     pub ops: bool,
-    /// Counter/gauge/histogram registry updates.
-    pub metrics: bool,
 }
 
 impl TraceConfig {
@@ -77,14 +73,13 @@ impl TraceConfig {
         TraceConfig::default()
     }
 
-    /// Records every event class and the metrics registry.
+    /// Records every event class.
     pub fn full() -> TraceConfig {
         TraceConfig {
             messages: true,
             routes: true,
             overlay: true,
             ops: true,
-            metrics: true,
         }
     }
 
@@ -98,17 +93,9 @@ impl TraceConfig {
         }
     }
 
-    /// Only the metrics registry, no event records.
-    pub fn metrics_only() -> TraceConfig {
-        TraceConfig {
-            metrics: true,
-            ..TraceConfig::default()
-        }
-    }
-
     /// True if any class is enabled.
     pub fn any(&self) -> bool {
-        self.messages || self.routes || self.overlay || self.ops || self.metrics
+        self.messages || self.routes || self.overlay || self.ops
     }
 }
 
@@ -368,29 +355,6 @@ impl Histogram {
         self.count += other.count;
         Ok(())
     }
-
-    fn to_json(&self) -> String {
-        let (p50, p95, p99) = (
-            self.percentile(50).unwrap_or(0),
-            self.percentile(95).unwrap_or(0),
-            self.percentile(99).unwrap_or(0),
-        );
-        json::Obj::new()
-            .int("width", self.width)
-            .int("count", self.count)
-            .int("p50", p50)
-            .int("p95", p95)
-            .int("p99", p99)
-            // Clipped upper percentiles are invisible in the numbers
-            // alone; readers must be able to see the last bucket
-            // saturated without re-deriving it from `buckets`.
-            .bool("saturated", self.saturated())
-            .raw(
-                "buckets",
-                &json::array(self.buckets.iter().map(|c| c.to_string())),
-            )
-            .build()
-    }
 }
 
 /// Two histograms with different bucket geometry were asked to merge
@@ -416,200 +380,6 @@ impl std::fmt::Display for ShapeMismatch {
 
 impl std::error::Error for ShapeMismatch {}
 
-/// Per-node traffic counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NodeCounters {
-    /// Messages sent by this node.
-    pub sent: u64,
-    /// Messages received by this node.
-    pub recv: u64,
-}
-
-/// The metrics registry: per-kind and per-node counters, named gauges,
-/// and the standard latency/hop/retry histograms. Updated by the
-/// [`Tracer`] when [`TraceConfig::metrics`] is on.
-#[derive(Clone, Debug, Default)]
-pub struct Metrics {
-    kinds: &'static [&'static str],
-    sent_by_kind: Vec<u64>,
-    recv_by_kind: Vec<u64>,
-    dropped_by_kind: Vec<u64>,
-    duplicated_by_kind: Vec<u64>,
-    failed_by_kind: Vec<u64>,
-    per_node: BTreeMap<usize, NodeCounters>,
-    gauges: BTreeMap<(&'static str, usize), u64>,
-    /// Route path latency, 1 ms buckets up to 512 ms.
-    pub route_latency_us: Histogram,
-    /// Overlay hops per delivered route, width 1.
-    pub hop_count: Histogram,
-    /// Retransmission attempt numbers, width 1.
-    pub retry_count: Histogram,
-}
-
-impl Metrics {
-    fn for_kinds(kinds: &'static [&'static str]) -> Metrics {
-        Metrics {
-            kinds,
-            sent_by_kind: vec![0; kinds.len()],
-            recv_by_kind: vec![0; kinds.len()],
-            dropped_by_kind: vec![0; kinds.len()],
-            duplicated_by_kind: vec![0; kinds.len()],
-            failed_by_kind: vec![0; kinds.len()],
-            per_node: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            route_latency_us: Histogram::new(1_000, 512),
-            hop_count: Histogram::new(1, 32),
-            retry_count: Histogram::new(1, 16),
-        }
-    }
-
-    fn bump(v: &mut [u64], kind: usize) {
-        if let Some(c) = v.get_mut(kind) {
-            *c += 1;
-        }
-    }
-
-    /// `(kind, count)` pairs for one per-kind counter family, in
-    /// `Message::KINDS` order.
-    fn kind_pairs<'a>(&'a self, v: &'a [u64]) -> impl Iterator<Item = (&'static str, u64)> + 'a {
-        self.kinds.iter().copied().zip(v.iter().copied())
-    }
-
-    /// Messages sent per kind, in `Message::KINDS` order.
-    pub fn sent_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.sent_by_kind)
-    }
-
-    /// Messages received per kind, in `Message::KINDS` order.
-    pub fn recv_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.recv_by_kind)
-    }
-
-    /// Fault-injected drops per kind, in `Message::KINDS` order.
-    pub fn dropped_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.dropped_by_kind)
-    }
-
-    /// Fault-injected duplicates per kind, in `Message::KINDS` order.
-    pub fn duplicated_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.duplicated_by_kind)
-    }
-
-    /// Dead-destination failures per kind, in `Message::KINDS` order.
-    pub fn failed_by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.kind_pairs(&self.failed_by_kind)
-    }
-
-    /// Per-node sent/received counters.
-    pub fn node_counters(&self) -> impl Iterator<Item = (usize, NodeCounters)> + '_ {
-        self.per_node.iter().map(|(&a, &c)| (a, c))
-    }
-
-    /// Folds another registry into this one: counters and histograms
-    /// sum, per-node counters add, and gauges combine under an explicit
-    /// **monotonic max** policy — the merged gauge is the maximum of
-    /// the two values. "Other wins" would make a merged gauge depend on
-    /// shard merge order; max is commutative and associative, so any
-    /// merge order yields the same registry. (Within one registry,
-    /// [`Metrics::set_gauge`] stays last-write-wins.) Per-node counter
-    /// keys are disjoint across shards, so the combination is
-    /// order-independent there too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two registries count different kind tables.
-    pub fn merge(&mut self, other: &Metrics) {
-        assert!(
-            self.kinds == other.kinds,
-            "cannot merge metrics over different kind tables"
-        );
-        let sum = |mine: &mut Vec<u64>, theirs: &[u64]| {
-            for (m, t) in mine.iter_mut().zip(theirs.iter()) {
-                *m += t;
-            }
-        };
-        sum(&mut self.sent_by_kind, &other.sent_by_kind);
-        sum(&mut self.recv_by_kind, &other.recv_by_kind);
-        sum(&mut self.dropped_by_kind, &other.dropped_by_kind);
-        sum(&mut self.duplicated_by_kind, &other.duplicated_by_kind);
-        sum(&mut self.failed_by_kind, &other.failed_by_kind);
-        for (&node, c) in &other.per_node {
-            let mine = self.per_node.entry(node).or_default();
-            mine.sent += c.sent;
-            mine.recv += c.recv;
-        }
-        for (&key, &v) in &other.gauges {
-            let mine = self.gauges.entry(key).or_insert(0);
-            *mine = (*mine).max(v);
-        }
-        // The registry constructs every histogram with a fixed shape,
-        // so a mismatch here is unreachable.
-        self.route_latency_us
-            .merge(&other.route_latency_us)
-            .expect("registry histograms share shape by construction");
-        self.hop_count
-            .merge(&other.hop_count)
-            .expect("registry histograms share shape by construction");
-        self.retry_count
-            .merge(&other.retry_count)
-            .expect("registry histograms share shape by construction");
-    }
-
-    /// Sets a named per-node gauge to `value` (last write wins).
-    pub fn set_gauge(&mut self, name: &'static str, node: usize, value: u64) {
-        self.gauges.insert((name, node), value);
-    }
-
-    /// Reads a named per-node gauge.
-    pub fn gauge(&self, name: &'static str, node: usize) -> Option<u64> {
-        self.gauges.get(&(name, node)).copied()
-    }
-
-    /// Serializes the registry as one `past-trace/v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let kind_obj = |v: &[u64]| {
-            let mut o = json::Obj::new();
-            for (k, c) in self.kind_pairs(v) {
-                if c > 0 {
-                    o = o.int(k, c);
-                }
-            }
-            o.build()
-        };
-        json::Obj::new()
-            .str("schema", "past-trace/v1")
-            .raw("sent_by_kind", &kind_obj(&self.sent_by_kind))
-            .raw("recv_by_kind", &kind_obj(&self.recv_by_kind))
-            .raw("dropped_by_kind", &kind_obj(&self.dropped_by_kind))
-            .raw("duplicated_by_kind", &kind_obj(&self.duplicated_by_kind))
-            .raw("failed_by_kind", &kind_obj(&self.failed_by_kind))
-            .raw(
-                "nodes",
-                &json::array(self.per_node.iter().map(|(&a, c)| {
-                    json::Obj::new()
-                        .int("node", a as u64)
-                        .int("sent", c.sent)
-                        .int("recv", c.recv)
-                        .build()
-                })),
-            )
-            .raw(
-                "gauges",
-                &json::array(self.gauges.iter().map(|(&(name, node), &v)| {
-                    json::Obj::new()
-                        .str("name", name)
-                        .int("node", node as u64)
-                        .int("value", v)
-                        .build()
-                })),
-            )
-            .raw("route_latency_us", &self.route_latency_us.to_json())
-            .raw("hop_count", &self.hop_count.to_json())
-            .raw("retry_count", &self.retry_count.to_json())
-            .build()
-    }
-}
-
 /// FNV-1a 64-bit hash (trace fingerprints).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -620,17 +390,15 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// The trace sink: an append-only record buffer plus the [`Metrics`]
-/// registry, both gated by a [`TraceConfig`]. Owned by the engine; all
-/// record methods take the simulated time explicitly so the tracer can
-/// never consult a wall clock.
+/// The trace sink: an append-only record buffer gated by a
+/// [`TraceConfig`], plus an optional [`TimeSeries`]. Owned by the
+/// engine; all record methods take the simulated time explicitly so the
+/// tracer can never consult a wall clock.
 #[derive(Debug, Default)]
 pub struct Tracer {
     cfg: TraceConfig,
     kinds: &'static [&'static str],
     records: Vec<TraceRecord>,
-    /// The metrics registry (read directly by harnesses).
-    pub metrics: Metrics,
     /// The flight recorder, when sampling is enabled. Fed by the same
     /// hooks as the record buffer, but gated only on its own presence
     /// — a series can run with every trace class off.
@@ -657,7 +425,6 @@ impl Tracer {
             cfg: TraceConfig::off(),
             kinds,
             records: Vec::new(),
-            metrics: Metrics::for_kinds(kinds),
             series: None,
             series_repair: Vec::new(),
         }
@@ -710,11 +477,10 @@ impl Tracer {
         &self.records
     }
 
-    /// Drops all records, resets the metrics registry, and empties the
-    /// series windows (keeping the series configuration).
+    /// Drops all records and empties the series windows (keeping the
+    /// series configuration).
     pub fn clear(&mut self) {
         self.records.clear();
-        self.metrics = Metrics::for_kinds(self.kinds);
         if let Some(s) = &mut self.series {
             s.clear();
         }
@@ -725,10 +491,6 @@ impl Tracer {
     /// A message was accounted and scheduled.
     #[inline]
     pub fn msg_send(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize, bytes: u64) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.sent_by_kind, kind);
-            self.metrics.per_node.entry(from).or_default().sent += 1;
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "sent", 1);
             s.bump(t, "sent_bytes", bytes);
@@ -754,10 +516,6 @@ impl Tracer {
     /// A message reached a live destination.
     #[inline]
     pub fn msg_recv(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.recv_by_kind, kind);
-            self.metrics.per_node.entry(to).or_default().recv += 1;
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "recv", 1);
         }
@@ -769,9 +527,6 @@ impl Tracer {
     /// Fault injection dropped a message.
     #[inline]
     pub fn msg_drop(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.dropped_by_kind, kind);
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "dropped", 1);
         }
@@ -783,9 +538,6 @@ impl Tracer {
     /// Fault injection duplicated a message.
     #[inline]
     pub fn msg_dup(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.duplicated_by_kind, kind);
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "duplicated", 1);
         }
@@ -797,9 +549,6 @@ impl Tracer {
     /// A message hit a dead destination.
     #[inline]
     pub fn msg_fail(&mut self, t: u64, op: OpId, from: usize, to: usize, kind: usize) {
-        if self.cfg.metrics {
-            Metrics::bump(&mut self.metrics.failed_by_kind, kind);
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "failed_sends", 1);
         }
@@ -838,10 +587,6 @@ impl Tracer {
         hops: u32,
         lat_us: u64,
     ) {
-        if self.cfg.metrics {
-            self.metrics.hop_count.record(u64::from(hops));
-            self.metrics.route_latency_us.record(lat_us);
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "delivered", 1);
             s.hist(t, "route_latency_us", lat_us);
@@ -910,9 +655,6 @@ impl Tracer {
     /// A client operation was retransmitted.
     #[inline]
     pub fn op_retry(&mut self, t: u64, op: OpId, node: usize, kind: &'static str, attempt: u32) {
-        if self.cfg.metrics {
-            self.metrics.retry_count.record(u64::from(attempt));
-        }
         if let Some(s) = &mut self.series {
             s.bump(t, "retries", 1);
         }
@@ -976,13 +718,12 @@ impl Tracer {
         }
     }
 
-    /// Folds another tracer's records and metrics into this one. The
+    /// Folds another tracer's records and series into this one. The
     /// combined record buffer is a concatenation; call
     /// [`Tracer::sort_canonical`] afterwards if a deterministic order
     /// is needed (e.g. after merging per-shard tracers).
     pub fn absorb(&mut self, mut other: Tracer) {
         self.records.append(&mut other.records);
-        self.metrics.merge(&other.metrics);
         if let Some(theirs) = other.series.take() {
             match &mut self.series {
                 Some(mine) => mine.merge(&theirs),
@@ -1236,7 +977,6 @@ mod tests {
         assert!(h.saturated());
         assert_eq!(h.percentile(50), Some(20));
         assert_eq!(h.percentile(99), Some(20));
-        assert!(h.to_json().contains("\"saturated\": true"));
     }
 
     #[test]
@@ -1252,17 +992,6 @@ mod tests {
         assert_eq!(h.percentile(100), Some(3));
     }
 
-    #[test]
-    fn histogram_json_validates() {
-        let mut h = Histogram::new(2, 4);
-        h.record(0);
-        h.record(3);
-        h.record(5);
-        let doc = h.to_json();
-        json::validate(&doc).expect("histogram JSON must validate");
-        assert!(doc.contains("\"saturated\": false"));
-    }
-
     // -- tracer gating -------------------------------------------------
 
     #[test]
@@ -1272,7 +1001,6 @@ mod tests {
         t.route_deliver(2, OpId(1), 1, 42, 3, 999);
         t.op_start(3, OpId(1), 0, "insert", 42, 5);
         assert!(t.records().is_empty());
-        assert_eq!(t.metrics.hop_count.count(), 0);
         assert_eq!(t.to_jsonl(), "");
     }
 
@@ -1285,7 +1013,6 @@ mod tests {
         t.op_start(3, OpId(7), 0, "insert", 42, 5); // ops: on
         t.join_phase(4, 9, "start"); // overlay: off
         assert_eq!(t.records().len(), 2);
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 0);
     }
 
     #[test]
@@ -1296,38 +1023,6 @@ mod tests {
         t.op_end(2, OpId::NONE, 0, "reclaim", true, 0);
         t.replica_stored(3, OpId::NONE, 1, 42, false);
         assert!(t.records().is_empty());
-    }
-
-    #[test]
-    fn metrics_only_counts_without_recording() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::metrics_only());
-        t.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        t.msg_send(2, OpId::NONE, 0, 1, 1, 32);
-        t.msg_recv(3, OpId::NONE, 0, 1, 0);
-        t.msg_drop(4, OpId::NONE, 0, 1, 1);
-        t.msg_dup(5, OpId::NONE, 0, 1, 1);
-        t.route_deliver(6, OpId::NONE, 1, 42, 3, 2_500);
-        assert!(t.records().is_empty());
-        let dropped: Vec<_> = t.metrics.dropped_by_kind().collect();
-        assert_eq!(dropped, vec![("ping", 0), ("pong", 1)]);
-        let dup: u64 = t.metrics.duplicated_by_kind().map(|(_, c)| c).sum();
-        assert_eq!(dup, 1);
-        assert_eq!(t.metrics.hop_count.percentile(50), Some(3));
-        assert_eq!(t.metrics.route_latency_us.percentile(50), Some(2_000));
-        let nodes: Vec<_> = t.metrics.node_counters().collect();
-        assert_eq!(nodes[0], (0, NodeCounters { sent: 2, recv: 0 }));
-        assert_eq!(nodes[1], (1, NodeCounters { sent: 0, recv: 1 }));
-    }
-
-    #[test]
-    fn gauges_read_back_last_write() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::metrics_only());
-        t.metrics.set_gauge("used_bytes", 3, 100);
-        t.metrics.set_gauge("used_bytes", 3, 250);
-        assert_eq!(t.metrics.gauge("used_bytes", 3), Some(250));
-        assert_eq!(t.metrics.gauge("used_bytes", 4), None);
     }
 
     // -- serialization -------------------------------------------------
@@ -1355,15 +1050,6 @@ mod tests {
         }
         assert_eq!(t.fingerprint(), build().fingerprint());
         assert_ne!(t.fingerprint(), fnv1a(b""));
-    }
-
-    #[test]
-    fn metrics_json_validates() {
-        let mut t = Tracer::for_kinds(KINDS);
-        t.configure(TraceConfig::full());
-        t.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        t.metrics.set_gauge("used_bytes", 0, 9);
-        json::validate(&t.metrics.to_json()).expect("metrics JSON must validate");
     }
 
     // -- merging -------------------------------------------------------
@@ -1400,54 +1086,6 @@ mod tests {
         // The receiver is untouched on error.
         assert_eq!(a.count(), 1);
         assert_eq!(a.buckets(), &[1, 0, 0, 0]);
-    }
-
-    /// Merged gauges follow the max policy, so shard merge order
-    /// cannot change the combined registry.
-    #[test]
-    fn metrics_gauge_merge_is_order_independent() {
-        let mk = |v0: u64, v2: u64| {
-            let mut m = Metrics::for_kinds(KINDS);
-            m.set_gauge("used", 0, v0);
-            m.set_gauge("used", 2, v2);
-            m
-        };
-        let (a, b) = (mk(10, 3), mk(4, 90));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        for m in [&ab, &ba] {
-            assert_eq!(m.gauge("used", 0), Some(10));
-            assert_eq!(m.gauge("used", 2), Some(90));
-        }
-        assert_eq!(ab.to_json(), ba.to_json());
-    }
-
-    #[test]
-    fn metrics_merge_combines_all_families() {
-        let mut a = Tracer::for_kinds(KINDS);
-        a.configure(TraceConfig::metrics_only());
-        a.msg_send(1, OpId::NONE, 0, 1, 0, 64);
-        a.route_deliver(2, OpId::NONE, 1, 42, 3, 2_500);
-        a.metrics.set_gauge("used", 0, 10);
-        let mut b = Tracer::for_kinds(KINDS);
-        b.configure(TraceConfig::metrics_only());
-        b.msg_send(3, OpId::NONE, 2, 0, 0, 64);
-        b.msg_send(3, OpId::NONE, 0, 2, 1, 32);
-        b.msg_drop(4, OpId::NONE, 2, 0, 1);
-        b.metrics.set_gauge("used", 2, 7);
-        a.metrics.merge(&b.metrics);
-        let sent: Vec<_> = a.metrics.sent_by_kind().collect();
-        assert_eq!(sent, vec![("ping", 2), ("pong", 1)]);
-        let dropped: u64 = a.metrics.dropped_by_kind().map(|(_, c)| c).sum();
-        assert_eq!(dropped, 1);
-        let nodes: Vec<_> = a.metrics.node_counters().collect();
-        assert_eq!(nodes[0], (0, NodeCounters { sent: 2, recv: 0 }));
-        assert_eq!(nodes[1], (2, NodeCounters { sent: 1, recv: 0 }));
-        assert_eq!(a.metrics.hop_count.count(), 1);
-        assert_eq!(a.metrics.gauge("used", 0), Some(10));
-        assert_eq!(a.metrics.gauge("used", 2), Some(7));
     }
 
     /// Splitting one record stream across two tracers, absorbing, and
@@ -1540,15 +1178,17 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_records_and_metrics() {
+    fn clear_resets_records_and_series() {
         let mut t = Tracer::for_kinds(KINDS);
         t.configure(TraceConfig::full());
+        t.set_series(SeriesConfig::new(1_000));
         t.msg_send(1, OpId(1), 0, 1, 0, 64);
         t.clear();
         assert!(t.records().is_empty());
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 0);
+        let s = t.series().expect("clear keeps the series attached");
+        assert_eq!(s.windows().count(), 0);
         // Still bound to the kind table after a clear.
         t.msg_send(2, OpId(1), 0, 1, 1, 32);
-        assert_eq!(t.metrics.sent_by_kind().map(|(_, c)| c).sum::<u64>(), 1);
+        assert!(t.to_jsonl().contains("\"kind\":\"pong\""));
     }
 }

@@ -56,9 +56,8 @@ struct GaugeCell {
 
 /// Histogram shape registry: series histograms must agree on shape
 /// across shards so windows merge; shapes are fixed by name here.
-/// `route_latency_us` mirrors the `Metrics` registry histogram (1 ms
-/// buckets up to 512 ms); everything else gets width-1 with 64
-/// buckets.
+/// `route_latency_us` uses 1 ms buckets up to 512 ms; everything else
+/// gets width-1 with 64 buckets.
 fn hist_shape(name: &str) -> (u64, usize) {
     match name {
         "route_latency_us" => (1_000, 512),

@@ -38,6 +38,12 @@ cargo run --offline -q -p past-trace --bin obsreport -- --require-slo target/ser
 echo "== cargo build --release"
 cargo build --offline --release --workspace
 
+# The operations benchmark is its own workspace, so the workspace build
+# above does not compile it; build it here so an API change that breaks
+# it fails CI rather than the benchmark run.
+echo "== cargo build --release (pastbench)"
+cargo build --offline --release --manifest-path pastbench/Cargo.toml
+
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
