@@ -210,7 +210,7 @@ pub struct CanSim<T: Topology> {
     dims: usize,
 }
 
-impl<T: Topology> CanSim<T> {
+impl<T: Topology + Clone> CanSim<T> {
     /// Builds a CAN by sequential random-point joins: node `i`'s join
     /// point is derived from `ids[i]`, and it splits the zone that
     /// contains it (longest-dimension split, as in the CAN paper).

@@ -159,7 +159,7 @@ pub struct ChordSim<T: Topology> {
     pub engine: Engine<ChordNode, T>,
 }
 
-impl<T: Topology> ChordSim<T> {
+impl<T: Topology + Clone> ChordSim<T> {
     /// Builds a stabilized ring statically from `ids` (node `i` at
     /// topology slot `i`).
     pub fn build(topo: T, seed: u64, ids: &[Id]) -> ChordSim<T> {

@@ -14,22 +14,22 @@
 //! Usage: `cargo run --release -p past-bench --bin bench_loss --
 //! [--smoke] [--shards K] [--out PATH]`. `--smoke` shrinks the network
 //! so CI can assert the binary runs and emits valid JSON quickly;
-//! `--shards K` runs the sweep on the sharded engine (K worker threads
-//! over a delay-floored sphere).
+//! `--shards K` (default 1, run inline) runs the sweep on K engine
+//! shards, over a delay-floored sphere when K > 1.
 
 use past_bench::json;
-use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
+use past_core::{BuildMode, ContentRef, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimBackend, Sphere, TraceConfig};
-use past_pastry::{random_ids, Config as PastryConfig, PastryNode, RecoveryConfig};
+use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, Sphere, Topology, TraceConfig};
+use past_pastry::{random_ids, Config as PastryConfig, RecoveryConfig};
 use past_trace::TraceEvent;
 use std::time::Instant;
 
 const MB: u64 = 1 << 20;
 const SEED: u64 = 2026;
 
-/// Delay floor (and shard window) for `--shards` runs; see
-/// `bench_macro` for the rationale. Sequential runs keep the un-floored
+/// Delay floor (and shard window) for `--shards K > 1` runs; see
+/// `bench_macro` for the rationale. One-shard runs keep the un-floored
 /// sphere so historical numbers stay comparable.
 const SHARD_FLOOR_US: u64 = 5_000;
 
@@ -75,56 +75,28 @@ fn past_cfg() -> PastConfig {
     }
 }
 
-fn run_level(loss: f64, n: usize, files: u64, shards: Option<usize>) -> Level {
+fn run_level(loss: f64, n: usize, files: u64, shards: usize) -> Level {
     let mut rng = Rng::seed_from_u64(SEED);
     let ids = random_ids(n, &mut rng);
     let t = Instant::now();
-    match shards {
-        None => {
-            let mut net = PastNetwork::build(
-                Sphere::new(n, SEED),
-                pastry_cfg(),
-                past_cfg(),
-                SEED,
-                &ids,
-                &vec![400 * MB; n],
-                &vec![4_000 * MB; n],
-                BuildMode::Static,
-            );
-            drive_level(&mut net, loss, n, files, t)
-        }
-        Some(k) => {
-            let mut net = PastNetwork::build_sharded(
-                Sphere::with_delay_floor(n, SEED, SHARD_FLOOR_US),
-                pastry_cfg(),
-                past_cfg(),
-                SEED,
-                &ids,
-                &vec![400 * MB; n],
-                &vec![4_000 * MB; n],
-                BuildMode::Static,
-                ShardConfig {
-                    shards: k,
-                    window_us: SHARD_FLOOR_US,
-                },
-            )
-            .expect("window equals the delay floor, so the sharded build is sound");
-            drive_level(&mut net, loss, n, files, t)
-        }
-    }
-}
-
-/// The per-level workload, generic over the simulation backend.
-fn drive_level<B>(
-    net: &mut PastNetwork<Sphere, B>,
-    loss: f64,
-    n: usize,
-    files: u64,
-    t: Instant,
-) -> Level
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+    let topo = if shards == 1 {
+        Sphere::new(n, SEED)
+    } else {
+        Sphere::with_delay_floor(n, SEED, SHARD_FLOOR_US)
+    };
+    let window_us = topo.min_delay_us();
+    let mut net = PastNetwork::build_sharded(
+        topo,
+        pastry_cfg(),
+        past_cfg(),
+        SEED,
+        &ids,
+        &vec![400 * MB; n],
+        &vec![4_000 * MB; n],
+        BuildMode::Static,
+        ShardConfig { shards, window_us },
+    )
+    .expect("window equals the minimum delay, so the build is sound");
     net.sim.set_recovery(RecoveryConfig::default());
     // Message records give the per-kind drop/duplicate attribution.
     net.sim.engine.set_tracing(TraceConfig {
@@ -204,9 +176,8 @@ where
         lvl.total_msgs = stats.total_msgs;
         stats.by_kind().map(|(k, _)| k).collect()
     };
-    // `take_tracer` merges the per-shard sinks on the sharded backend;
-    // reading the harness tracer alone would miss every shard-side
-    // drop/duplicate record.
+    // `take_tracer` merges the per-shard sinks; reading the harness
+    // tracer alone would miss every shard-side drop/duplicate record.
     let tracer = net.sim.engine.take_tracer();
     let mut dropped = vec![0u64; kinds.len()];
     let mut duplicated = vec![0u64; kinds.len()];
@@ -257,7 +228,7 @@ fn kind_obj(pairs: &[(&'static str, u64)]) -> String {
 
 fn main() {
     let mut smoke = false;
-    let mut shards: Option<usize> = None;
+    let mut shards = 1;
     let mut out = format!("{}/../../BENCH_loss.json", env!("CARGO_MANIFEST_DIR"));
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -267,7 +238,7 @@ fn main() {
                 let v = args.next().expect("--shards needs a count");
                 let k: usize = v.parse().expect("--shards must be an integer");
                 assert!(k > 0, "--shards must be positive");
-                shards = Some(k);
+                shards = k;
             }
             "--out" => out = args.next().expect("--out needs a path"),
             other => panic!("unknown flag {other}; supported: --smoke, --shards K, --out PATH"),
@@ -285,7 +256,7 @@ fn main() {
         .str("mode", if smoke { "smoke" } else { "full" })
         .int("nodes", n as u64)
         .int("files", files)
-        .int("shards", shards.unwrap_or(0) as u64)
+        .int("shards", shards as u64)
         .raw(
             "levels",
             &json::array(levels.iter().map(|l| {

@@ -34,8 +34,7 @@ pub use cert::{CardCert, FileCertificate, ReclaimCertificate, ReclaimReceipt, St
 pub use fileid::{audit_proof, ContentRef, FileId};
 pub use msg::{NackReason, PastMsg};
 pub use network::{
-    BuildMode, CardSnapshot, FileSnapshot, PastEvent, PastNetwork, PastSnapshot,
-    ShardedPastNetwork, StoreSnapshot,
+    BuildMode, CardSnapshot, FileSnapshot, PastEvent, PastNetwork, PastSnapshot, StoreSnapshot,
 };
 pub use node::{PastApp, PastConfig, PastOut, RetryOp};
 pub use smartcard::{CardError, Smartcard};

@@ -13,12 +13,10 @@ use crate::node::{PastApp, PastConfig, PastOut, RetryOp};
 use crate::smartcard::CardError;
 use crate::storage::ReplicaKind;
 use past_crypto::Digest256;
-use past_netsim::{
-    Addr, Engine, OpId, ShardConfig, ShardedEngine, SimBackend, SimTime, Topology, WindowTooWide,
-};
+use past_netsim::{Addr, OpId, ShardConfig, SimTime, Topology, WindowTooWide};
 use past_pastry::{
-    static_build, static_build_sharded, Config as PastryConfig, Id, OverlaySnapshot, PastryMsg,
-    PastryNode, PastrySim, ShardedPastrySim, APP_TIMER_BASE,
+    populate_static, Config as PastryConfig, Id, OverlaySnapshot, PastryMsg, PastrySim,
+    APP_TIMER_BASE,
 };
 
 /// A timestamped application event.
@@ -89,12 +87,9 @@ pub struct PastSnapshot {
 }
 
 /// A complete PAST deployment: overlay + broker.
-///
-/// Generic over the simulation backend like [`PastrySim`]: the default
-/// is the sequential engine, [`ShardedPastNetwork`] the multi-core one.
-pub struct PastNetwork<T: Topology, B = Engine<PastryNode<PastApp>, T>> {
+pub struct PastNetwork<T: Topology> {
     /// The underlying overlay simulation.
-    pub sim: PastrySim<PastApp, T, B>,
+    pub sim: PastrySim<PastApp, T>,
     /// The broker that issued all smartcards.
     pub broker: Broker,
     past_cfg: PastConfig,
@@ -102,9 +97,6 @@ pub struct PastNetwork<T: Topology, B = Engine<PastryNode<PastApp>, T>> {
     /// for [`OpId::NONE`]).
     next_op: u64,
 }
-
-/// A PAST deployment on the sharded multi-core engine.
-pub type ShardedPastNetwork<T> = PastNetwork<T, ShardedEngine<PastryNode<PastApp>, T>>;
 
 /// How to construct the overlay.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,8 +107,9 @@ pub enum BuildMode {
     Static,
 }
 
-impl<T: Topology> PastNetwork<T> {
-    /// Builds an `n`-node PAST network.
+impl<T: Topology + Clone> PastNetwork<T> {
+    /// Builds an `n`-node PAST network on a one-shard engine (run
+    /// inline on the caller's thread).
     ///
     /// Node `i` gets id `ids[i]`, storage capacity `capacities[i]`, and a
     /// smartcard with usage quota `quotas[i]`.
@@ -134,38 +127,16 @@ impl<T: Topology> PastNetwork<T> {
         quotas: &[u64],
         mode: BuildMode,
     ) -> PastNetwork<T> {
-        assert!(!ids.is_empty());
-        assert_eq!(ids.len(), capacities.len());
-        assert_eq!(ids.len(), quotas.len());
-        let mut broker = Broker::new(&seed.to_be_bytes());
-        let mk_app = |broker: &mut Broker, i: usize| {
-            let card =
-                broker.issue_card(format!("card-{i:08}").as_bytes(), quotas[i], capacities[i]);
-            PastApp::new(past_cfg, card, capacities[i], broker)
-        };
-        let sim = match mode {
-            BuildMode::ProtocolJoins => {
-                let mut sim = PastrySim::new(topo, pastry_cfg, seed);
-                sim.build_by_joins(ids, |i| mk_app(&mut broker, i), 8);
-                sim
-            }
-            BuildMode::Static => {
-                static_build(topo, pastry_cfg, seed, ids, |i| mk_app(&mut broker, i), 4)
-            }
-        };
-        PastNetwork {
-            sim,
-            broker,
-            past_cfg,
-            next_op: 1,
-        }
+        let sim = PastrySim::new(topo, pastry_cfg, seed);
+        PastNetwork::populate(sim, past_cfg, seed, ids, capacities, quotas, mode)
     }
 
-    /// [`build`](PastNetwork::build) on the sharded multi-core engine.
+    /// [`build`](PastNetwork::build) on an engine with the given shard
+    /// layout.
     ///
     /// Rejects a shard window wider than the topology's minimum
-    /// inter-node delay. Build work is harness-side either way; the
-    /// sharded backend parallelizes the runs that follow.
+    /// inter-node delay. Build work is harness-side either way; more
+    /// shards parallelize the runs that follow.
     #[allow(clippy::too_many_arguments)]
     pub fn build_sharded(
         topo: T,
@@ -177,10 +148,26 @@ impl<T: Topology> PastNetwork<T> {
         quotas: &[u64],
         mode: BuildMode,
         shard_cfg: ShardConfig,
-    ) -> Result<ShardedPastNetwork<T>, WindowTooWide>
-    where
-        T: Clone + Send,
-    {
+    ) -> Result<PastNetwork<T>, WindowTooWide> {
+        let sim = PastrySim::new_sharded(topo, pastry_cfg, seed, shard_cfg)?;
+        Ok(PastNetwork::populate(
+            sim, past_cfg, seed, ids, capacities, quotas, mode,
+        ))
+    }
+}
+
+impl<T: Topology> PastNetwork<T> {
+    /// Fills an empty overlay with `ids.len()` PAST nodes and wraps it
+    /// with the broker that issued their smartcards.
+    fn populate(
+        mut sim: PastrySim<PastApp, T>,
+        past_cfg: PastConfig,
+        seed: u64,
+        ids: &[Id],
+        capacities: &[u64],
+        quotas: &[u64],
+        mode: BuildMode,
+    ) -> PastNetwork<T> {
         assert!(!ids.is_empty());
         assert_eq!(ids.len(), capacities.len());
         assert_eq!(ids.len(), quotas.len());
@@ -190,36 +177,18 @@ impl<T: Topology> PastNetwork<T> {
                 broker.issue_card(format!("card-{i:08}").as_bytes(), quotas[i], capacities[i]);
             PastApp::new(past_cfg, card, capacities[i], broker)
         };
-        let sim = match mode {
-            BuildMode::ProtocolJoins => {
-                let mut sim = ShardedPastrySim::new_sharded(topo, pastry_cfg, seed, shard_cfg)?;
-                sim.build_by_joins(ids, |i| mk_app(&mut broker, i), 8);
-                sim
-            }
-            BuildMode::Static => static_build_sharded(
-                topo,
-                pastry_cfg,
-                seed,
-                ids,
-                |i| mk_app(&mut broker, i),
-                4,
-                shard_cfg,
-            )?,
-        };
-        Ok(PastNetwork {
+        match mode {
+            BuildMode::ProtocolJoins => sim.build_by_joins(ids, |i| mk_app(&mut broker, i), 8),
+            BuildMode::Static => populate_static(&mut sim, ids, |i| mk_app(&mut broker, i), 4),
+        }
+        PastNetwork {
             sim,
             broker,
             past_cfg,
             next_op: 1,
-        })
+        }
     }
-}
 
-impl<T, B> PastNetwork<T, B>
-where
-    T: Topology,
-    B: SimBackend<PastryNode<PastApp>, Topo = T>,
-{
     /// Allocates the next operation id (always, so runs with tracing on
     /// and off stay event-for-event identical).
     fn alloc_op(&mut self) -> OpId {

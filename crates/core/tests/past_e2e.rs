@@ -536,7 +536,7 @@ fn deterministic_end_to_end_replay() {
                 }
             }
         }
-        (fp, net.sim.engine.stats.total_msgs, net.utilization().0)
+        (fp, net.sim.engine.stats().total_msgs, net.utilization().0)
     };
     assert_eq!(fingerprint(), fingerprint());
 }

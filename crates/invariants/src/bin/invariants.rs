@@ -5,15 +5,15 @@
 //! With `--emit-trace PATH`, the lossy-churn scenario runs with the
 //! operation-lifecycle trace classes enabled and its trace is written to
 //! `PATH` as JSONL, ready for `tracecheck --require-clean`.
-//! `--emit-trace-sharded PATH` does the same for the lossy-churn
-//! scenario on the sharded backend. `--emit-series PATH` /
+//! `--emit-trace-sharded PATH` does the same for the 4-shard run of the
+//! same scenario and seed. `--emit-series PATH` /
 //! `--emit-series-sharded PATH` additionally write the flight-recorder
-//! series of those traced runs as JSONL, ready for
-//! `obsreport --require-slo`.
+//! series of those traced runs as canonical JSONL (no per-shard
+//! diagnostics), ready for `obsreport --require-slo`. Both pairs of
+//! files are byte-identical when the 1 ≡ N shard identity holds.
 
 use past_invariants::scenarios::{
-    bulk_join, churn, lossy_churn, lossy_churn_sharded, lossy_churn_sharded_traced,
-    lossy_churn_traced, quota_reclaim, wheel_horizon,
+    bulk_join, churn, lossy_churn, lossy_churn_traced, quota_reclaim, wheel_horizon,
 };
 use past_netsim::{TraceConfig, Tracer};
 
@@ -23,13 +23,14 @@ fn write_series(tracer: &Tracer, path: &str) {
         eprintln!("invariants: traced run produced no series for {path}");
         std::process::exit(2);
     };
-    if let Err(e) = std::fs::write(path, series.to_jsonl()) {
+    let jsonl = series.canonical_jsonl();
+    if let Err(e) = std::fs::write(path, &jsonl) {
         eprintln!("invariants: cannot write series to {path}: {e}");
         std::process::exit(2);
     }
     println!(
         "invariants: wrote {} series window(s) to {path}",
-        series.len()
+        jsonl.lines().count() - 1
     );
 }
 
@@ -81,9 +82,24 @@ fn main() {
         ("churn", churn(2)),
         ("quota-reclaim", quota_reclaim(3)),
     ];
-    if emit_trace.is_some() || emit_series.is_some() {
-        let (violations, tracer) = lossy_churn_traced(4, TraceConfig::lifecycle());
-        if let Some(path) = &emit_trace {
+    // The lossy-churn scenario runs twice with the same seed: inline on
+    // one shard, then on four worker shards. The two runs must match
+    // record for record, which CI checks by comparing the emitted files.
+    for (name, shards, trace_path, series_path) in [
+        ("lossy-churn", 1, &emit_trace, &emit_series),
+        (
+            "lossy-churn-sharded",
+            4,
+            &emit_trace_sharded,
+            &emit_series_sharded,
+        ),
+    ] {
+        if trace_path.is_none() && series_path.is_none() {
+            results.push((name, lossy_churn(4, shards)));
+            continue;
+        }
+        let (violations, tracer) = lossy_churn_traced(4, shards, TraceConfig::lifecycle());
+        if let Some(path) = trace_path {
             if let Err(e) = std::fs::write(path, tracer.to_jsonl()) {
                 eprintln!("invariants: cannot write trace to {path}: {e}");
                 std::process::exit(2);
@@ -93,33 +109,12 @@ fn main() {
                 tracer.records().len()
             );
         }
-        if let Some(path) = &emit_series {
+        if let Some(path) = series_path {
             write_series(&tracer, path);
         }
-        results.push(("lossy-churn", violations));
-    } else {
-        results.push(("lossy-churn", lossy_churn(4)));
+        results.push((name, violations));
     }
     results.push(("wheel-horizon", wheel_horizon(5)));
-    if emit_trace_sharded.is_some() || emit_series_sharded.is_some() {
-        let (violations, tracer) = lossy_churn_sharded_traced(6, TraceConfig::lifecycle());
-        if let Some(path) = &emit_trace_sharded {
-            if let Err(e) = std::fs::write(path, tracer.to_jsonl()) {
-                eprintln!("invariants: cannot write trace to {path}: {e}");
-                std::process::exit(2);
-            }
-            println!(
-                "invariants: wrote {} trace record(s) to {path}",
-                tracer.records().len()
-            );
-        }
-        if let Some(path) = &emit_series_sharded {
-            write_series(&tracer, path);
-        }
-        results.push(("lossy-churn-sharded", violations));
-    } else {
-        results.push(("lossy-churn-sharded", lossy_churn_sharded(6)));
-    }
 
     let mut failed = false;
     for (name, violations) in results {

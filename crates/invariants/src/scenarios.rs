@@ -6,22 +6,19 @@
 //! scenarios back the `invariants` binary run by `scripts/ci.sh`.
 
 use crate::{check_all, Violation};
-use past_core::{
-    BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut, ShardedPastNetwork,
-};
+use past_core::{BuildMode, ContentRef, PastApp, PastConfig, PastNetwork, PastOut};
 use past_crypto::rng::Rng;
-use past_netsim::{
-    FaultConfig, SeriesConfig, ShardConfig, SimBackend, SimTime, Sphere, TraceConfig, Tracer,
-};
-use past_pastry::{random_ids, Config as PastryConfig, Id, PastryNode, RecoveryConfig};
+use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, SimTime, Sphere, TraceConfig, Tracer};
+use past_pastry::{random_ids, Config as PastryConfig, Id, RecoveryConfig};
 use std::collections::BTreeSet;
 
 const MB: u64 = 1 << 20;
 
-/// Delay floor (and shard window) for sharded scenarios: the sharded
-/// engine requires `window_us ≤ min_delay_us`, and `Sphere::new` has a
-/// 1 µs floor, so sharded runs use the floored variant.
-const SHARD_FLOOR_US: u64 = 2_000;
+/// Delay floor of every scenario topology, and the shard window: a
+/// window may not exceed the minimum inter-node delay, and a 2 ms floor
+/// on a [`Sphere`] leaves the proximity structure intact (points don't
+/// move, short links clamp).
+const FLOOR_US: u64 = 2_000;
 
 fn pastry_cfg() -> PastryConfig {
     // l = 16 keeps k ≤ l/2 for k = 5 (the paper's configuration): a k-set
@@ -34,8 +31,9 @@ fn pastry_cfg() -> PastryConfig {
     }
 }
 
-/// Builds an `n`-node network over a topology with `slots ≥ n` seats
-/// (spare seats allow later joins).
+/// Builds an `n`-node network over a delay-floored sphere with
+/// `slots ≥ n` seats (spare seats allow later joins), on `shards`
+/// engine shards.
 fn build_net(
     slots: usize,
     n: usize,
@@ -43,36 +41,12 @@ fn build_net(
     capacity: u64,
     quota: u64,
     past_cfg: PastConfig,
+    shards: usize,
 ) -> (PastNetwork<Sphere>, Vec<Id>) {
     let mut rng = Rng::seed_from_u64(seed);
     let ids = random_ids(slots, &mut rng);
-    let net = PastNetwork::build(
-        Sphere::new(slots, seed),
-        pastry_cfg(),
-        past_cfg,
-        seed,
-        &ids[..n],
-        &vec![capacity; n],
-        &vec![quota; n],
-        BuildMode::ProtocolJoins,
-    );
-    (net, ids)
-}
-
-/// Like [`build_net`], but on the sharded backend (4 shards over a
-/// delay-floored sphere so the shard window is sound).
-fn build_net_sharded(
-    slots: usize,
-    n: usize,
-    seed: u64,
-    capacity: u64,
-    quota: u64,
-    past_cfg: PastConfig,
-) -> (ShardedPastNetwork<Sphere>, Vec<Id>) {
-    let mut rng = Rng::seed_from_u64(seed);
-    let ids = random_ids(slots, &mut rng);
     let net = PastNetwork::build_sharded(
-        Sphere::with_delay_floor(slots, seed, SHARD_FLOOR_US),
+        Sphere::with_delay_floor(slots, seed, FLOOR_US),
         pastry_cfg(),
         past_cfg,
         seed,
@@ -81,18 +55,15 @@ fn build_net_sharded(
         &vec![quota; n],
         BuildMode::ProtocolJoins,
         ShardConfig {
-            shards: 4,
-            window_us: SHARD_FLOOR_US,
+            shards,
+            window_us: FLOOR_US,
         },
     )
-    .expect("window equals the delay floor, so the sharded build is sound");
+    .expect("window equals the delay floor, so the build is sound");
     (net, ids)
 }
 
-fn check_at<B>(context: &str, net: &PastNetwork<Sphere, B>, out: &mut Vec<Violation>)
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+fn check_at(context: &str, net: &PastNetwork<Sphere>, out: &mut Vec<Violation>) {
     for mut v in check_all(&net.snapshot()) {
         v.detail = format!("[{context}] {}", v.detail);
         out.push(v);
@@ -104,7 +75,7 @@ where
 /// receipts).
 pub fn bulk_join(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default(), 1);
     net.run();
     check_at("after bulk join", &net, &mut violations);
 
@@ -146,7 +117,7 @@ pub fn bulk_join(seed: u64) -> Vec<Violation> {
 /// recoveries and fresh joins, checking at every quiesce point.
 pub fn churn(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, ids) = build_net(48, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, ids) = build_net(48, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default(), 1);
 
     for i in 0..6u64 {
         let name = format!("churn-{i}");
@@ -199,7 +170,7 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
         t_div: 0.55,
         ..PastConfig::default()
     };
-    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg);
+    let (mut net, _) = build_net(30, 30, seed, 12 * MB, 10_000 * MB, cfg, 1);
 
     let mut rng = Rng::seed_from_u64(seed ^ 2);
     let mut inserted = Vec::new();
@@ -230,35 +201,26 @@ pub fn quota_reclaim(seed: u64) -> Vec<Violation> {
 
 /// Scenario 4 — lossy churn: the churn scenario's shape re-run over a
 /// faulty network (5% loss, 1% duplication, 20 ms jitter) with the
-/// recovery machinery on. Beyond I1–I5 at every quiesce point, it
-/// asserts liveness: every client operation issued under loss must
-/// terminate in an explicit success or failure event (reported as a
-/// synthetic "OP" violation otherwise — a hung request).
-pub fn lossy_churn(seed: u64) -> Vec<Violation> {
+/// recovery machinery on, on `shards` engine shards. Beyond I1–I5 at
+/// every quiesce point, it asserts liveness: every client operation
+/// issued under loss must terminate in an explicit success or failure
+/// event (reported as a synthetic "OP" violation otherwise — a hung
+/// request). The run is the same under any shard count.
+pub fn lossy_churn(seed: u64, shards: usize) -> Vec<Violation> {
     // Tracing never perturbs the simulation, so delegating with tracing
     // off yields exactly the violations a dedicated untraced run would.
-    lossy_churn_traced(seed, TraceConfig::off()).0
+    lossy_churn_traced(seed, shards, TraceConfig::off()).0
 }
 
 /// [`lossy_churn`] with a trace sink attached: returns the violations
 /// plus the tracer holding the run's records (fed to `tracecheck` by
 /// the CI gate).
-pub fn lossy_churn_traced(seed: u64, trace: TraceConfig) -> (Vec<Violation>, Tracer) {
-    let (mut net, ids) = build_net(48, 40, seed, 400 * MB, 4_000 * MB, lossy_cfg());
-    drive_lossy_churn(&mut net, &ids, seed, trace)
-}
-
-/// Scenario 6 — lossy churn on the sharded backend: the same workload as
-/// [`lossy_churn`] driven through `ShardedEngine` (4 shards over a
-/// delay-floored sphere). I1–I5 and the liveness check must hold there
-/// exactly as on the sequential engine.
-pub fn lossy_churn_sharded(seed: u64) -> Vec<Violation> {
-    lossy_churn_sharded_traced(seed, TraceConfig::off()).0
-}
-
-/// [`lossy_churn_sharded`] with a trace sink attached.
-pub fn lossy_churn_sharded_traced(seed: u64, trace: TraceConfig) -> (Vec<Violation>, Tracer) {
-    let (mut net, ids) = build_net_sharded(48, 40, seed, 400 * MB, 4_000 * MB, lossy_cfg());
+pub fn lossy_churn_traced(
+    seed: u64,
+    shards: usize,
+    trace: TraceConfig,
+) -> (Vec<Violation>, Tracer) {
+    let (mut net, ids) = build_net(48, 40, seed, 400 * MB, 4_000 * MB, lossy_cfg(), shards);
     drive_lossy_churn(&mut net, &ids, seed, trace)
 }
 
@@ -270,19 +232,16 @@ fn lossy_cfg() -> PastConfig {
     }
 }
 
-/// The lossy-churn workload, generic over the simulation backend:
-/// inserts under loss, node failures, recoveries, fresh joins, lookups
-/// and reclaims, with I1–I5 checked at every quiesce point and explicit
-/// termination demanded for every issued operation.
-fn drive_lossy_churn<B>(
-    net: &mut PastNetwork<Sphere, B>,
+/// The lossy-churn workload: inserts under loss, node failures,
+/// recoveries, fresh joins, lookups and reclaims, with I1–I5 checked at
+/// every quiesce point and explicit termination demanded for every
+/// issued operation.
+fn drive_lossy_churn(
+    net: &mut PastNetwork<Sphere>,
     ids: &[Id],
     seed: u64,
     trace: TraceConfig,
-) -> (Vec<Violation>, Tracer)
-where
-    B: SimBackend<PastryNode<PastApp>, Topo = Sphere>,
-{
+) -> (Vec<Violation>, Tracer) {
     let mut violations = Vec::new();
     // Ample disks and quotas (set by the builders): this scenario
     // stresses message loss, not storage pressure.
@@ -317,7 +276,7 @@ where
     }
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: after insert workload", &net, &mut violations);
+    check_at("lossy: after insert workload", net, &mut violations);
 
     // Fail 5 nodes; failure detection now needs missed-ack rounds, so run
     // enough heartbeat rounds for every neighbor to pass the limit and
@@ -329,7 +288,7 @@ where
         net.sim.stabilize();
     }
     events.extend(net.run());
-    check_at("lossy: after failing 5 nodes", &net, &mut violations);
+    check_at("lossy: after failing 5 nodes", net, &mut violations);
 
     // Two failed nodes recover with their old state and three brand-new
     // nodes join through the retried join protocol.
@@ -352,7 +311,7 @@ where
     events.extend(net.run());
     check_at(
         "lossy: after recoveries and fresh joins",
-        &net,
+        net,
         &mut violations,
     );
 
@@ -377,7 +336,7 @@ where
     net.sim.stabilize();
     net.sim.stabilize();
     events.extend(net.run());
-    check_at("lossy: final", &net, &mut violations);
+    check_at("lossy: final", net, &mut violations);
 
     // Liveness: every issued operation produced a terminal event.
     let mut insert_done = BTreeSet::new();
@@ -437,7 +396,7 @@ where
 /// lookup that never completes.
 pub fn wheel_horizon(seed: u64) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default());
+    let (mut net, _) = build_net(40, 40, seed, 200 * MB, 2_000 * MB, PastConfig::default(), 1);
     net.run();
     check_at("wheel: after build", &net, &mut violations);
 
@@ -491,8 +450,8 @@ pub fn run_all() -> Vec<(&'static str, Vec<Violation>)> {
         ("bulk-join", bulk_join(1)),
         ("churn", churn(2)),
         ("quota-reclaim", quota_reclaim(3)),
-        ("lossy-churn", lossy_churn(4)),
+        ("lossy-churn", lossy_churn(4, 1)),
         ("wheel-horizon", wheel_horizon(5)),
-        ("lossy-churn-sharded", lossy_churn_sharded(6)),
+        ("lossy-churn-sharded", lossy_churn(4, 4)),
     ]
 }

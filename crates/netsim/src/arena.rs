@@ -38,15 +38,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// An empty arena with room for `cap` values before reallocating.
-    pub fn with_capacity(cap: usize) -> Arena<T> {
-        Arena {
-            slots: Vec::with_capacity(cap),
-            free: Vec::new(),
-            live: 0,
-        }
-    }
-
     /// Parks a value; returns its handle.
     ///
     /// # Panics

@@ -9,23 +9,23 @@
 //!   paper defines ("a scalar metric, such as the number of IP hops,
 //!   geographic distance, or a combination of these"),
 //! - a message [`engine`] with per-link latency, silent node failure and
-//!   timeout notifications, per-kind traffic accounting, and
-//! - full determinism (seeded RNG, totally ordered event queue), so every
-//!   experiment in EXPERIMENTS.md reproduces bit-for-bit.
+//!   timeout notifications, link-fault injection, and per-kind traffic
+//!   accounting, which runs inline on one shard or in parallel on many,
+//! - full determinism (per-node seeded RNG streams, events totally
+//!   ordered by `(time, source, per-node seq)`), so every experiment in
+//!   EXPERIMENTS.md reproduces bit-for-bit under any shard count.
 
 pub mod arena;
-pub mod backend;
 pub mod engine;
-pub mod event;
-pub mod shard;
+mod shard;
 pub mod soa;
 pub mod time;
 pub mod topology;
 pub mod wheel;
 
-pub use backend::{Backend, SimBackend, WindowTooWide};
-pub use engine::{Ctx, Engine, FaultConfig, Message, NetStats, NodeLogic};
-pub use shard::{ShardConfig, ShardedEngine};
+pub use engine::{
+    Ctx, Engine, FaultConfig, Message, NetStats, NodeLogic, ShardConfig, SimBackend, WindowTooWide,
+};
 pub use soa::NodeIo;
 pub use time::SimTime;
 pub use topology::{Addr, Plane, Sphere, Topology, TransitStub, UniformRandom};

@@ -46,35 +46,6 @@ impl<N> NodeSlots<N> {
         }
     }
 
-    /// Empty storage with room for `cap` nodes.
-    pub fn with_capacity(cap: usize) -> NodeSlots<N> {
-        NodeSlots {
-            logic: Vec::with_capacity(cap),
-            alive: Vec::with_capacity(cap.div_ceil(64)),
-            sent: Vec::with_capacity(cap),
-            recv: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Builds storage from existing node logic, all alive.
-    pub fn from_logic(logic: Vec<N>) -> NodeSlots<N> {
-        let n = logic.len();
-        let mut slots = NodeSlots {
-            logic,
-            alive: vec![!0u64; n.div_ceil(64)],
-            sent: vec![0; n],
-            recv: vec![0; n],
-        };
-        // Clear the tail bits beyond `n` so popcount-style scans and
-        // `live_addrs` never see phantom nodes.
-        if n % 64 != 0 {
-            if let Some(last) = slots.alive.last_mut() {
-                *last &= (1u64 << (n % 64)) - 1;
-            }
-        }
-        slots
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.logic.len()
@@ -189,7 +160,10 @@ mod tests {
 
     #[test]
     fn live_addrs_matches_bitset() {
-        let mut s = NodeSlots::from_logic((0..200).collect::<Vec<_>>());
+        let mut s = NodeSlots::new();
+        for i in 0..200 {
+            s.push(i);
+        }
         for a in [0usize, 63, 64, 127, 199] {
             s.set_alive(a, false);
         }
@@ -202,14 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn from_logic_has_no_phantom_tail() {
-        let s = NodeSlots::from_logic(vec![(); 70]);
-        assert_eq!(s.live_addrs().len(), 70);
-    }
-
-    #[test]
     fn io_counters() {
-        let mut s = NodeSlots::from_logic(vec![(); 3]);
+        let mut s = NodeSlots::new();
+        for _ in 0..3 {
+            s.push(());
+        }
         s.note_sent(1);
         s.note_sent(1);
         s.note_recv(2);

@@ -61,8 +61,9 @@ impl DelayMemo {
     }
 }
 
-/// A source of pairwise one-way delays (the proximity metric).
-pub trait Topology {
+/// A source of pairwise one-way delays (the proximity metric). `Send`,
+/// because a multi-shard engine gives each worker thread its own copy.
+pub trait Topology: Send {
     /// Number of node slots in the topology.
     fn len(&self) -> usize;
 
@@ -73,10 +74,10 @@ pub trait Topology {
 
     /// A lower bound on the delay between any two *distinct* nodes.
     ///
-    /// The sharded engine's window invariant ("no inter-node message
-    /// arrives inside the window it was sent in") is checked against
-    /// this bound at build time: `ShardConfig::window_us` must not
-    /// exceed it. The conservative default is 1 µs — always sound,
+    /// The engine's window invariant ("no inter-node message arrives
+    /// inside the window it was sent in") is checked against this
+    /// bound at build time: `ShardConfig::window_us` must not exceed
+    /// it, and a one-shard engine uses it as its window. The conservative default is 1 µs — always sound,
     /// since distinct nodes are at non-zero delay, but it forces
     /// one-microsecond windows; topologies with a real floor override
     /// it.
@@ -115,7 +116,7 @@ impl Sphere {
     /// same seed, but no two distinct nodes are closer than the floor.
     ///
     /// At large `n` the closest sphere pair is only microseconds apart,
-    /// which would force the sharded engine into degenerate 1 µs
+    /// which would force a multi-shard engine into degenerate 1 µs
     /// windows; a floor models the reality that even nearby hosts pay a
     /// LAN round-trip, and lets [`Topology::min_delay_us`] promise a
     /// usable window bound.

@@ -28,10 +28,9 @@
 //! `tie` before delivery, and same-tick pushes that happen *while the
 //! tick is being drained* (a handler scheduling a zero-delay event)
 //! are inserted into the live buffer at their sorted position. Callers
-//! supply the tie key: the sequential engine uses a global push
-//! counter (insertion order, matching the old binary heap bit for
-//! bit), the sharded engine uses `(source node, per-source seq)` so
-//! the order is independent of how nodes are partitioned over shards.
+//! supply the tie key: the engine uses `(source node, per-source seq)`
+//! so the order is independent of how nodes are partitioned over
+//! shards.
 //!
 //! ## Clocks: delivery floor vs. cascade position
 //!
@@ -41,8 +40,8 @@
 //! the slot bookkeeping has advanced to — [`peek_time`] may push it
 //! all the way to the earliest pending event, which can sit far in
 //! the future. A push between the floor and the cascade position is
-//! legitimate (the sharded engine absorbs batches whose times precede
-//! an idle shard's distant first event) and lands, sorted, in the
+//! legitimate (a worker shard absorbs batches whose times precede its
+//! distant first event) and lands, sorted, in the
 //! current buffer.
 //!
 //! [`peek_time`]: TimerWheel::peek_time
@@ -135,8 +134,8 @@ impl<E> TimerWheel<E> {
             // At or before the cascade position (same tick as the one
             // being delivered, or behind a peek that ran ahead):
             // insert at the sorted position among the not-yet-delivered
-            // entries. For monotone keys at one tick (the sequential
-            // engine) this is always the back, i.e. O(1).
+            // entries. For monotone keys at one tick this is always
+            // the back, i.e. O(1).
             let at = self
                 .current
                 .partition_point(|&(t, k, _)| (t, k) < (time, tie));
@@ -300,7 +299,7 @@ mod tests {
 
     #[test]
     fn same_tick_insert_sorts_below_pending() {
-        // Sharded tie keys are (src, seq): a mid-tick insert can sort
+        // Engine tie keys are (src, seq): a mid-tick insert can sort
         // *before* an already pending same-tick entry.
         let mut w = TimerWheel::new();
         w.push(5, 10, "a");
@@ -410,7 +409,7 @@ mod tests {
     /// future (to a distant first event); a later push *behind* that
     /// position but ahead of everything delivered is legitimate and
     /// must pop first, in order. This is the idle-shard absorb pattern
-    /// of the sharded engine.
+    /// of a multi-shard engine.
     #[test]
     fn push_behind_cascade_position_after_peek() {
         let mut w = TimerWheel::new();

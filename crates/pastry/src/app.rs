@@ -141,12 +141,14 @@ impl<P: Clone + PayloadSize, O> AppCtx<'_, '_, P, O> {
 }
 
 /// A Pastry application: per-node state plus the overlay callbacks.
+/// `Send` (as are its payloads and observations), because a
+/// multi-shard engine runs nodes on worker threads.
 #[allow(unused_variables)]
-pub trait App: Sized {
+pub trait App: Sized + Send {
     /// The application payload carried in routed and direct messages.
-    type Payload: Clone + PayloadSize;
+    type Payload: Clone + PayloadSize + Send;
     /// Application observations for the experiment harness.
-    type Out;
+    type Out: Send;
 
     /// A routed message reached the node responsible for `key`.
     fn deliver(

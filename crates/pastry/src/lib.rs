@@ -40,8 +40,8 @@ pub use msg::{PastryMsg, PayloadSize, RouteEnvelope};
 pub use node::{Behavior, PastryNode, RecoveryConfig, APP_TIMER_BASE};
 pub use route::{next_hop, NextHop};
 pub use sim::{
-    random_ids, static_build, static_build_sharded, DeliveryRecord, NodeSnapshot, OverlaySnapshot,
-    PastrySim, ShardedPastrySim,
+    populate_static, random_ids, static_build, DeliveryRecord, NodeSnapshot, OverlaySnapshot,
+    PastrySim,
 };
 pub use state::PastryState;
 // The codec and sans-io vocabulary node logic is written against, so

@@ -102,7 +102,7 @@ pub enum PastryMsg<P> {
     },
 }
 
-impl<P: Clone + PayloadSize> Message for PastryMsg<P> {
+impl<P: Clone + PayloadSize + Send> Message for PastryMsg<P> {
     const KINDS: &'static [&'static str] = &[
         "route",
         "join_request",

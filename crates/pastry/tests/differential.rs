@@ -1,42 +1,43 @@
-//! Differential equivalence tests.
+//! Differential equivalence tests: 1 shard vs N shards.
 //!
-//! Two families:
-//!
-//! 1. Heap vs wheel: the hierarchical timer wheel replaced the binary
-//!    heap as the sequential engine's default event queue; the heap
-//!    survives as a reference backend
-//!    (`Engine::use_reference_heap_queue`). A seeded 512-node
-//!    lossy-churn run must be bit-identical under both.
-//! 2. 1 shard vs N shards: the sharded engine's determinism claim is
-//!    shard-count independence. The same 512-node lossy-churn overlay
-//!    run — protocol joins, faulty routes, churn, stabilization — must
-//!    produce identical overlay snapshots, NetStats, trace
-//!    fingerprints, engine fingerprints, deliveries, and clocks at 1
-//!    shard and at 4 shards.
+//! The engine's determinism claim is shard-count independence: one
+//! shard (run inline on the caller's thread) and N worker shards must
+//! give the same run. The same 512-node lossy-churn overlay run —
+//! protocol joins, faulty routes, churn, stabilization — must produce
+//! identical overlay snapshots, NetStats, trace fingerprints, engine
+//! fingerprints, deliveries, and clocks at 1 shard and at 4 shards.
 
 use past_crypto::rng::Rng;
 use past_netsim::{FaultConfig, SeriesConfig, ShardConfig, Sphere, TraceConfig};
-use past_pastry::{
-    random_ids, static_build, static_build_sharded, Config, Id, NullApp, PastrySim,
-    ShardedPastrySim,
-};
+use past_pastry::{populate_static, random_ids, Config, Id, NullApp, PastrySim};
 
 const N: usize = 512;
 
-fn lossy_churn_run(reference_heap: bool) -> String {
+/// Worker shards need a delay floor at least as wide as their window
+/// (sealed-batch safety); 2 ms on a [`Sphere`] leaves the proximity
+/// structure intact (points don't move, short links clamp).
+const FLOOR_US: u64 = 2_000;
+
+/// Runs the 512-node lossy-churn workload at `shards` workers and
+/// returns the engine/overlay summary string plus the flight-recorder
+/// series in its canonical (shard-diagnostic-free) serialization.
+fn lossy_churn_run(shards: usize) -> (String, String) {
     let mut rng = Rng::seed_from_u64(9090);
     let ids = random_ids(N, &mut rng);
-    let mut sim: PastrySim<NullApp, Sphere> =
-        PastrySim::new(Sphere::new(N, 9090), Config::default(), 9090);
-    if reference_heap {
-        // Must happen before anything is scheduled; the backends share
-        // the seq counter so tie keys stay aligned from event zero.
-        sim.engine.use_reference_heap_queue();
-    }
+    let mut sim: PastrySim<NullApp, Sphere> = PastrySim::new_sharded(
+        Sphere::with_delay_floor(N, 9090, FLOOR_US),
+        Config::default(),
+        9090,
+        ShardConfig {
+            shards,
+            window_us: FLOOR_US,
+        },
+    )
+    .expect("window == delay floor is safe");
     sim.engine.set_tracing(TraceConfig::full());
+    sim.engine.set_series(SeriesConfig::new(1_000_000));
     sim.build_by_joins(&ids, |_| NullApp, 4);
 
-    // Lossy phase: faults on, routed traffic, then churn + stabilize.
     sim.engine.set_faults(
         FaultConfig {
             loss: 0.05,
@@ -62,91 +63,6 @@ fn lossy_churn_run(reference_heap: bool) -> String {
             }
         }
     };
-    route(&mut sim, &mut deliveries, 300);
-    for i in 0..24 {
-        sim.engine.kill((i * 21 + 5) % N);
-    }
-    sim.stabilize();
-    route(&mut sim, &mut deliveries, 200);
-
-    let alive: Vec<usize> = (0..N).filter(|&a| sim.engine.is_alive(a)).collect();
-    format!(
-        "trace_fp={} total_msgs={} total_bytes={} dropped={} duplicated={} \
-         failed_sends={} now_us={} alive={} deliveries={}",
-        sim.engine.tracer().fingerprint(),
-        sim.engine.stats.total_msgs,
-        sim.engine.stats.total_bytes,
-        sim.engine.stats.dropped,
-        sim.engine.stats.duplicated,
-        sim.engine.stats.failed_sends,
-        sim.engine.now().as_micros(),
-        alive.len(),
-        deliveries,
-    )
-}
-
-#[test]
-fn heap_and_wheel_lossy_churn_runs_are_bit_identical() {
-    let wheel = lossy_churn_run(false);
-    let heap = lossy_churn_run(true);
-    assert!(
-        wheel.contains("dropped=") && !wheel.contains("dropped=0 "),
-        "the fault layer must actually drop messages for this test to bite"
-    );
-    assert_eq!(wheel, heap, "heap and wheel runs diverged");
-}
-
-/// The sharded engine needs a delay floor at least as wide as its
-/// window (sealed-batch safety); 2 ms on a [`Sphere`] leaves the
-/// proximity structure intact (points don't move, short links clamp).
-const FLOOR_US: u64 = 2_000;
-
-/// Runs the 512-node lossy-churn workload at `shards` workers and
-/// returns the engine/overlay summary string plus the flight-recorder
-/// series in its canonical (shard-diagnostic-free) serialization.
-fn sharded_lossy_churn_run(shards: usize) -> (String, String) {
-    let mut rng = Rng::seed_from_u64(9090);
-    let ids = random_ids(N, &mut rng);
-    let mut sim: ShardedPastrySim<NullApp, Sphere> = ShardedPastrySim::new_sharded(
-        Sphere::with_delay_floor(N, 9090, FLOOR_US),
-        Config::default(),
-        9090,
-        ShardConfig {
-            shards,
-            window_us: FLOOR_US,
-        },
-    )
-    .expect("window == delay floor is safe");
-    sim.engine.set_tracing(TraceConfig::full());
-    sim.engine.set_series(SeriesConfig::new(1_000_000));
-    sim.build_by_joins(&ids, |_| NullApp, 4);
-
-    sim.engine.set_faults(
-        FaultConfig {
-            loss: 0.05,
-            duplicate: 0.01,
-            jitter_us: 20_000,
-        },
-        0xd1ff,
-    );
-    let mut key_rng = Rng::seed_from_u64(4242);
-    let mut deliveries = String::new();
-    let mut route =
-        |sim: &mut ShardedPastrySim<NullApp, Sphere>, out: &mut String, routes: usize| {
-            for _ in 0..routes {
-                let key = Id(key_rng.random());
-                let from = key_rng.random_range(0..N);
-                sim.route(from, key, ());
-                for rec in sim.drain_deliveries() {
-                    out.push_str(&format!(
-                        "{}@{}+{};",
-                        rec.delivered_at,
-                        rec.at.as_micros(),
-                        rec.hops
-                    ));
-                }
-            }
-        };
     route(&mut sim, &mut deliveries, 300);
     for i in 0..24 {
         sim.engine.kill((i * 21 + 5) % N);
@@ -191,7 +107,7 @@ fn sharded_lossy_churn_run(shards: usize) -> (String, String) {
 
 #[test]
 fn one_shard_and_four_shard_lossy_churn_runs_are_bit_identical() {
-    let (one, one_series) = sharded_lossy_churn_run(1);
+    let (one, one_series) = lossy_churn_run(1);
     assert!(
         !one.contains("dropped=0 "),
         "the fault layer must actually drop messages for this test to bite"
@@ -200,7 +116,7 @@ fn one_shard_and_four_shard_lossy_churn_runs_are_bit_identical() {
         one.contains("deliveries=") && one.ends_with(';'),
         "routes must actually deliver"
     );
-    let (four, four_series) = sharded_lossy_churn_run(4);
+    let (four, four_series) = lossy_churn_run(4);
     assert_eq!(one, four, "1-shard and 4-shard overlay runs diverged");
     // The flight-recorder series must also be bit-identical window by
     // window: counters land at event times, engine gauges are sampled
@@ -217,43 +133,37 @@ fn one_shard_and_four_shard_lossy_churn_runs_are_bit_identical() {
     );
 }
 
-/// The static builders are harness-side and draw the same RNG sequence
-/// on both backends, so the *constructed* overlay state (before any
-/// events run) must match across the sequential and sharded engines.
+/// The static builder is harness-side and draws only the harness RNG,
+/// so the *constructed* overlay state (before any events run) must not
+/// depend on the shard count.
 #[test]
-fn static_build_state_is_backend_independent() {
+fn static_build_state_is_shard_count_independent() {
     let n = 256;
     let mut rng = Rng::seed_from_u64(2026);
     let ids = random_ids(n, &mut rng);
-    let seq: PastrySim<NullApp, Sphere> = static_build(
-        Sphere::with_delay_floor(n, 7, FLOOR_US),
-        Config::default(),
-        2026,
-        &ids,
-        |_| NullApp,
-        3,
-    );
-    let sharded: ShardedPastrySim<NullApp, Sphere> = static_build_sharded(
-        Sphere::with_delay_floor(n, 7, FLOOR_US),
-        Config::default(),
-        2026,
-        &ids,
-        |_| NullApp,
-        3,
-        ShardConfig {
-            shards: 4,
-            window_us: FLOOR_US,
-        },
-    )
-    .expect("window == delay floor is safe");
+    let build = |shards: usize| {
+        let mut sim: PastrySim<NullApp, Sphere> = PastrySim::new_sharded(
+            Sphere::with_delay_floor(n, 7, FLOOR_US),
+            Config::default(),
+            2026,
+            ShardConfig {
+                shards,
+                window_us: FLOOR_US,
+            },
+        )
+        .expect("window == delay floor is safe");
+        populate_static(&mut sim, &ids, |_| NullApp, 3);
+        sim
+    };
+    let (one, four) = (build(1), build(4));
     assert_eq!(
-        format!("{:?}", seq.snapshot_overlay()),
-        format!("{:?}", sharded.snapshot_overlay()),
-        "built overlay state diverged across backends"
+        format!("{:?}", one.snapshot_overlay()),
+        format!("{:?}", four.snapshot_overlay()),
+        "built overlay state diverged across shard counts"
     );
-    // Addresses are stable and dense across the build on both backends.
+    // Addresses are stable and dense across the build.
     for a in 0..n {
-        assert_eq!(seq.handle(a).addr, a);
-        assert_eq!(sharded.handle(a).addr, a);
+        assert_eq!(one.handle(a).addr, a);
+        assert_eq!(four.handle(a).addr, a);
     }
 }

@@ -259,7 +259,7 @@ fn deterministic_replay_of_whole_network() {
                     .wrapping_add(rec.path_us);
             }
         }
-        (fp, sim.engine.stats.total_msgs)
+        (fp, sim.engine.stats().total_msgs)
     };
     assert_eq!(build_and_fingerprint(), build_and_fingerprint());
 }
@@ -273,9 +273,9 @@ fn join_cost_scales_logarithmically() {
         let ids = random_ids(n + 1, &mut rng);
         let topo = Sphere::new(n + 1, seed);
         let mut sim = static_build(topo, small_cfg(), seed, &ids[..n], |_| NullApp, 2);
-        sim.engine.stats.reset();
+        let before = sim.engine.stats().total_msgs;
         sim.join_node_nearby(ids[n], NullApp, 8);
-        msgs.push(sim.engine.stats.total_msgs);
+        msgs.push(sim.engine.stats().total_msgs - before);
     }
     // Join cost grows slowly (log-ish): 8x the nodes should cost far less
     // than 8x the messages.
@@ -350,7 +350,7 @@ fn routing_works_on_all_topologies() {
     let mut rng = Rng::seed_from_u64(91);
     let ids = random_ids(n, &mut rng);
 
-    fn check<T: past_netsim::Topology>(topo: T, ids: &[past_pastry::Id], seed: u64) {
+    fn check<T: past_netsim::Topology + Clone>(topo: T, ids: &[past_pastry::Id], seed: u64) {
         let n = ids.len();
         let mut sim = PastrySim::new(
             topo,

@@ -177,14 +177,15 @@ fn lossy_runs_replay_bit_identically() {
             sim.route(from, key, ());
         }
         let recs = sim.drain_deliveries();
-        let stats = &sim.engine.stats;
+        let now = sim.engine.now().as_micros();
+        let stats = sim.engine.stats();
         format!(
             "delivered={} dropped={} duplicated={} total={} now={}",
             recs.len(),
             stats.dropped,
             stats.duplicated,
             stats.total_msgs,
-            sim.engine.now().as_micros()
+            now
         )
     };
     let a = fingerprint(100);

@@ -107,7 +107,7 @@ pub fn run(p: &Params) -> Result {
                 n,
                 hops: hops as f64 / probes.len() as f64,
                 ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
+                failed_sends: sim.engine.stats().failed_sends,
             });
         }
 
@@ -130,7 +130,7 @@ pub fn run(p: &Params) -> Result {
                 n,
                 hops: hops as f64 / probes.len() as f64,
                 ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
+                failed_sends: sim.engine.stats().failed_sends,
             });
         }
 
@@ -153,7 +153,7 @@ pub fn run(p: &Params) -> Result {
                 n,
                 hops: hops as f64 / probes.len() as f64,
                 ratio: ratios.iter().sum::<f64>() / ratios.len().max(1) as f64,
-                failed_sends: sim.engine.stats.failed_sends,
+                failed_sends: sim.engine.stats().failed_sends,
             });
         }
     }

@@ -82,9 +82,9 @@ pub fn run(p: &Params) -> Result {
         let mut total_msgs = 0u64;
         let mut total_hops = 0u64;
         for j in 0..p.joins {
-            sim.engine.stats.reset();
+            let before = sim.engine.stats().total_msgs;
             let addr = sim.join_node_nearby(all_ids[n + j], NullApp, 8);
-            total_msgs += sim.engine.stats.total_msgs;
+            total_msgs += sim.engine.stats().total_msgs - before;
             total_hops += sim.engine.node(addr).join_hops.unwrap_or(0) as u64;
         }
         rows.push(Row {

@@ -1090,8 +1090,8 @@ mod tests {
 
     /// Splitting one record stream across two tracers, absorbing, and
     /// canonically sorting must reproduce the single-tracer
-    /// serialization bit for bit — the property the sharded engine's
-    /// per-shard tracers rely on.
+    /// serialization bit for bit — the property the engine's per-shard
+    /// tracers rely on.
     #[test]
     fn absorb_plus_canonical_sort_is_partition_independent() {
         let record = |t: &mut Tracer, which: usize| {
@@ -1144,7 +1144,7 @@ mod tests {
 
     /// A series-only tracer (all trace classes off) still reports
     /// enabled, collects windowed counters from the hooks, and merges
-    /// across tracers in `absorb` — the sharded-engine path.
+    /// across tracers in `absorb` — the engine's per-shard path.
     #[test]
     fn series_flows_through_hooks_and_absorb() {
         let mk = || {

@@ -109,6 +109,12 @@ impl Window {
     pub fn shard_counters(&self) -> impl Iterator<Item = (usize, &'static str, u64)> + '_ {
         self.shard_counters.iter().map(|(&(s, k), &v)| (s, k, v))
     }
+
+    /// True if the window holds a counter, gauge or histogram — data
+    /// beyond per-shard diagnostics, which depend on the shard layout.
+    fn has_content(&self) -> bool {
+        !(self.counters.is_empty() && self.gauges.is_empty() && self.hists.is_empty())
+    }
 }
 
 /// Records one gauge sample locally: the latest sample wins, and a
@@ -340,13 +346,14 @@ impl TimeSeries {
 
     /// The exact byte stream the [`fingerprint`](Self::fingerprint)
     /// hashes: the window width plus one line per window *without*
-    /// per-shard diagnostics. Differential tests compare this across
-    /// shard counts — unlike the bare fingerprint, a mismatch shows
-    /// *which* window diverged.
+    /// per-shard diagnostics, skipping windows that hold nothing else
+    /// (where a diagnostic lands depends on the shard layout).
+    /// Differential tests compare this across shard counts — unlike the
+    /// bare fingerprint, a mismatch shows *which* window diverged.
     pub fn canonical_lines(&self) -> String {
         let mut buf = String::new();
         wfmt(&mut buf, format_args!("window_us={}\n", self.window_us));
-        for (&start, w) in &self.windows {
+        for (&start, w) in self.windows.iter().filter(|(_, w)| w.has_content()) {
             self.write_window_line(&mut buf, start, w, false);
             buf.push('\n');
         }
@@ -359,18 +366,34 @@ impl TimeSeries {
     /// Parses back through
     /// [`analyze::parse_jsonl`](crate::analyze::parse_jsonl).
     pub fn to_jsonl(&self) -> String {
+        self.jsonl(true)
+    }
+
+    /// [`to_jsonl`](Self::to_jsonl) without per-shard diagnostics and
+    /// without windows that hold only them: byte-identical for the same
+    /// run under any shard count.
+    pub fn canonical_jsonl(&self) -> String {
+        self.jsonl(false)
+    }
+
+    fn jsonl(&self, shards: bool) -> String {
+        let windows: Vec<(&u64, &Window)> = self
+            .windows
+            .iter()
+            .filter(|(_, w)| shards || w.has_content())
+            .collect();
         let mut out = String::new();
         wfmt(
             &mut out,
             format_args!(
                 "{{\"t\":0,\"op\":0,\"ev\":\"series\",\"window_us\":{},\"windows\":{},\"fp\":{}}}\n",
                 self.window_us,
-                self.windows.len(),
+                windows.len(),
                 self.fingerprint(),
             ),
         );
-        for (&start, w) in &self.windows {
-            self.write_window_line(&mut out, start, w, true);
+        for (&start, w) in windows {
+            self.write_window_line(&mut out, start, w, shards);
             out.push('\n');
         }
         out
@@ -514,6 +537,36 @@ mod tests {
         let mut other = mk(false);
         other.bump(10, "sent", 1);
         assert_ne!(mk(false).fingerprint(), other.fingerprint());
+    }
+
+    /// Where a per-shard diagnostic lands depends on the shard layout,
+    /// so a window holding nothing else must not reach the canonical
+    /// form: a series with such windows canonicalizes exactly like one
+    /// without them.
+    #[test]
+    fn diagnostics_only_windows_do_not_reach_the_canonical_form() {
+        let mk = |diagnostics: bool| {
+            let mut s = TimeSeries::new(cfg());
+            s.bump(10, "sent", 4);
+            s.gauge(5_500, "depth", 2);
+            if diagnostics {
+                s.shard_bump(10, 0, "events", 3);
+                s.shard_bump(2_500, 1, "batch_msgs", 7);
+                s.shard_gauge(47_999, 1, "stall_us", 40);
+            }
+            s
+        };
+        let (plain, noisy) = (mk(false), mk(true));
+        assert_eq!(noisy.len(), plain.len() + 2, "two diagnostics-only windows");
+        assert_eq!(plain.canonical_lines(), noisy.canonical_lines());
+        assert_eq!(plain.fingerprint(), noisy.fingerprint());
+        assert_eq!(plain.canonical_jsonl(), noisy.canonical_jsonl());
+        assert_eq!(plain.canonical_jsonl(), plain.to_jsonl());
+        // The full JSONL keeps the diagnostics, and its header counts
+        // the windows it writes.
+        let recs = analyze::parse_jsonl(&noisy.to_jsonl()).expect("parse");
+        assert_eq!(recs[0].u("windows"), Some(4));
+        assert_eq!(recs.len(), 5);
     }
 
     #[test]

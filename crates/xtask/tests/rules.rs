@@ -287,21 +287,13 @@ fn l1_triggers_on_engine_types_and_module_paths() {
 }
 
 #[test]
-fn l1_triggers_on_sharded_engine_and_wheel() {
-    let src = "use past_netsim::shard::ShardedEngine;\n";
+fn l1_triggers_on_shard_internals_and_wheel() {
+    let src = "use past_netsim::shard::Shard;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
     let src = "fn f(cfg: ShardConfig) -> ShardConfig { cfg }\n";
     assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
     let src = "use past_netsim::wheel::TimerWheel;\n";
     assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
-}
-
-#[test]
-fn l1_triggers_on_backend_module_path() {
-    let src = "use past_netsim::backend::SimBackend;\n";
-    assert_eq!(rules("crates/pastry/src/x.rs", src), vec!["L1"]);
-    let src = "use netsim::backend::WindowTooWide;\n";
-    assert_eq!(rules("crates/core/src/x.rs", src), vec!["L1"]);
 }
 
 #[test]
@@ -318,12 +310,12 @@ fn l1_passes_vocabulary_types_and_other_crates() {
 #[test]
 fn l1_passes_backend_abstraction_reexports() {
     // Backend-generic protocol code is sanctioned as long as it goes
-    // through the crate-root re-exports, not the backend module path.
+    // through the crate-root re-exports, not a module path.
     let src = "use past_netsim::{SimBackend, WindowTooWide};\n\
-               fn f<B: SimBackend<N, Topo = T>>(b: &B) -> usize { b.len() }\n";
+               fn f<E: SimBackend<N>>(e: &E) -> SimTime { e.now() }\n";
     assert_clean("crates/pastry/src/x.rs", src);
-    let src = "use past_netsim::Backend;\n\
-               fn pick(b: Backend) -> Backend { b }\n";
+    let src = "use past_netsim::WindowTooWide;\n\
+               fn floor(e: WindowTooWide) -> u64 { e.min_delay_us }\n";
     assert_clean("crates/core/src/x.rs", src);
 }
 

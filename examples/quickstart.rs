@@ -33,7 +33,7 @@ fn main() {
     println!("built a {n}-node PAST network by sequential protocol joins");
     println!(
         "  overlay traffic so far: {} messages",
-        net.sim.engine.stats.total_msgs
+        net.sim.engine.stats().total_msgs
     );
 
     // 2. Insert a file with k = 3 replicas from node 5.

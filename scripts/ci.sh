@@ -19,13 +19,20 @@ if ! cargo run --offline -q -p xtask -- check --format json > target/xtask_check
   exit 1
 fi
 
-echo "== invariant gate (I1-I5 over bulk-join / churn / quota-reclaim / lossy-churn, sequential + sharded)"
+echo "== invariant gate (I1-I5 over bulk-join / churn / quota-reclaim / lossy-churn, 1 shard + 4 shards)"
 mkdir -p target
 cargo run --offline -q -p past-invariants --bin invariants -- \
   --emit-trace target/trace_lossy.jsonl \
   --emit-trace-sharded target/trace_lossy_sharded.jsonl \
   --emit-series target/series_lossy.jsonl \
   --emit-series-sharded target/series_lossy_sharded.jsonl
+
+# The two lossy-churn runs share seed and topology and differ only in
+# shard count (1 inline, 4 worker threads), so their trace and series
+# files must match byte for byte: the 1 ≡ N shard identity.
+echo "== shard identity (lossy-churn trace + series: 1 shard vs 4 shards, byte for byte)"
+cmp target/trace_lossy.jsonl target/trace_lossy_sharded.jsonl
+cmp target/series_lossy.jsonl target/series_lossy_sharded.jsonl
 
 echo "== tracecheck (no stuck ops, insert fan-out == k, hops vs log2^b N)"
 cargo run --offline -q -p past-trace --bin tracecheck -- --require-clean target/trace_lossy.jsonl

@@ -60,7 +60,7 @@ fn full_stack_insert_lookup_reclaim_on_every_topology() {
     );
 }
 
-fn mk_boxed<T: Topology>(topo: T, ids: &[Id], seed: u64) -> PastNetwork<T> {
+fn mk_boxed<T: Topology + Clone>(topo: T, ids: &[Id], seed: u64) -> PastNetwork<T> {
     let n = ids.len();
     PastNetwork::build(
         topo,
