@@ -202,8 +202,8 @@ impl<T: Topology> PastNetwork<T> {
         self.past_cfg
     }
 
-    /// Arms a client-side retransmission timer for `op` when the retry
-    /// layer is configured (no-op otherwise).
+    /// Arms a client-side retransmission timer for `op` when request
+    /// timeouts are configured (no-op otherwise).
     fn arm_request_timer(&mut self, client: Addr, op: RetryOp) {
         let Some(delay) = self.past_cfg.request_timeout_us else {
             return;
@@ -432,7 +432,7 @@ impl<T: Topology> PastNetwork<T> {
                             file_id: *id,
                             size: f.cert.size,
                             owner: f.cert.owner.card_key.to_bytes(),
-                            diverted: f.kind == ReplicaKind::Diverted,
+                            diverted: matches!(f.kind, ReplicaKind::Diverted { .. }),
                         })
                         .collect(),
                     cached: st.cache.entries().map(|(id, s)| (*id, s)).collect(),

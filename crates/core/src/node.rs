@@ -9,7 +9,7 @@
 //! fault-injection behaviors the security experiments need.
 
 use crate::broker::Broker;
-use crate::cert::{FileCertificate, ReclaimCertificate, ReclaimReceipt};
+use crate::cert::{FileCertificate, ReclaimCertificate};
 use crate::fileid::{audit_proof, ContentRef, FileId};
 use crate::msg::{NackReason, PastMsg};
 use crate::smartcard::{CardError, Smartcard};
@@ -34,14 +34,12 @@ pub struct PastConfig {
     pub max_insert_attempts: u32,
     /// Leaf-set nodes probed during replica diversion before giving up.
     pub divert_candidates: usize,
-    /// Master switch for caching.
+    /// Master switch for caching: files passing through on the insert
+    /// path, pushes toward lookup clients and demoted replicas are all
+    /// cached in the node's free space.
     pub cache_enabled: bool,
-    /// Fraction of a node's free space the cache may occupy.
-    pub cache_fraction: f64,
     /// Route-path nodes a serving node pushes a cache copy to.
     pub cache_push: usize,
-    /// Cache files passing through on the insert path.
-    pub cache_on_insert_path: bool,
     /// Verify signatures end to end. Large storage/caching experiments
     /// (E7, E8) disable this to measure storage policy rather than
     /// big-integer arithmetic; structural checks (content hash vs
@@ -51,12 +49,14 @@ pub struct PastConfig {
     /// insert / lookup / reclaim arms a retransmission timer so requests
     /// lost to a faulty network are retried with exponential backoff and
     /// eventually surface an explicit failure event — never a silent
-    /// hang. `None` (the default) disables the whole retry layer: no
-    /// timers, no extra state, bit-identical lossless runs.
+    /// hang. `None` (the default) arms no timers: on a lossless network
+    /// every request is answered anyway. Either way the same idempotent
+    /// bookkeeping runs (re-acks, reclaim tracking, deduplicated
+    /// credits); this option only decides whether timers are armed.
     pub request_timeout_us: Option<u64>,
     /// Total transmissions per request (the original plus retries)
-    /// before the operation is declared failed. Only consulted when
-    /// [`request_timeout_us`] is set.
+    /// before the operation is declared failed. Only consulted when a
+    /// timer set by [`request_timeout_us`] fires.
     ///
     /// [`request_timeout_us`]: PastConfig::request_timeout_us
     pub request_attempts: u32,
@@ -71,9 +71,7 @@ impl Default for PastConfig {
             max_insert_attempts: 4,
             divert_candidates: 3,
             cache_enabled: true,
-            cache_fraction: 1.0,
             cache_push: 1,
-            cache_on_insert_path: true,
             crypto_checks: true,
             request_timeout_us: None,
             request_attempts: 4,
@@ -133,7 +131,8 @@ pub enum PastOut {
         /// The file.
         file_id: FileId,
     },
-    /// A reclaim got no response after all retries (retry layer only).
+    /// A reclaim got no response after all retransmissions (only with
+    /// [`PastConfig::request_timeout_us`] set).
     ReclaimFailed {
         /// The file.
         file_id: FileId,
@@ -165,9 +164,16 @@ struct PendingInsert {
     salt: u64,
     receipts: u8,
     receipt_keys: BTreeSet<[u8; 32]>,
-    nacks: u32,
+    /// Storers that refused this transmission round, by address: a
+    /// duplicated nack must not count twice.
+    refusers: BTreeSet<Addr>,
+    /// Slots the root reported it could not fill this round (k exceeds
+    /// the network, or a replica target died with no replacement). The
+    /// root sends one nack per slot, naming none, so these count per
+    /// message: a duplicate can end the attempt early (DESIGN §9.2).
+    unfilled: u32,
     fatal: bool,
-    /// Transmissions of this attempt so far (retry layer).
+    /// Transmissions of this attempt so far.
     sends: u32,
     /// Trace attribution for the whole client operation (stable across
     /// file-diversion re-salts and retransmissions).
@@ -193,7 +199,7 @@ struct PendingReclaim {
     op: OpId,
 }
 
-/// What a retransmission timer is watching (retry layer).
+/// What a retransmission timer is watching.
 #[derive(Clone, Copy, Debug)]
 pub enum RetryOp {
     /// An insert attempt, by the attempt's fileId.
@@ -243,22 +249,22 @@ pub struct PastApp {
     pending_audits: HashMap<FileId, (Digest256, u64)>,
     pending_diverts: HashMap<FileId, DivertState>,
     pending_reclaims: BTreeMap<FileId, PendingReclaim>,
-    /// Armed retransmission timers, by timer token (retry layer).
+    /// Armed retransmission timers, by timer token.
     retry_timers: BTreeMap<u64, RetryOp>,
     next_retry_token: u64,
     /// Failed insert attempts: the storer keys whose receipts were
-    /// counted before the attempt concluded. Reclaim receipts from any
-    /// *other* storer of these files are quota-suppressed — their share
-    /// of the debit was already returned as "unstored" (a copy whose
-    /// store receipt the network lost).
-    settled: BTreeMap<FileId, BTreeSet<[u8; 32]>>,
-    /// Reclaim receipts this node issued, kept to re-acknowledge
-    /// retransmitted reclaims for files already freed: `(owner card
-    /// key, receipt)`.
-    issued_reclaim_receipts: BTreeMap<FileId, ([u8; 32], ReclaimReceipt)>,
-    /// Reclaim receipts already processed, by (file, storer): guards
-    /// duplicated deliveries even with crypto checks off.
-    reclaim_seen: BTreeSet<(FileId, [u8; 32])>,
+    /// counted before the attempt concluded. Any *other* storer of these
+    /// files holds a copy whose receipt was lost or came late: its share
+    /// of the debit was already returned as "unstored", so its reclaim
+    /// receipt is not credited. A store receipt that arrives after the
+    /// attempt failed triggers another cleanup reclaim. An entry lasts
+    /// until a new insert attempt registers the same fileId.
+    settled: BTreeMap<FileId, Box<[[u8; 32]]>>,
+    /// Files this node freed on reclaim, kept to re-acknowledge
+    /// retransmitted reclaims: `(owner card key, bytes freed)`. The
+    /// receipt is re-signed on demand; signatures are deterministic, so
+    /// it is the very receipt first sent.
+    reclaimed: BTreeMap<FileId, ([u8; 32], u64)>,
     next_request_id: u64,
 }
 
@@ -283,15 +289,9 @@ impl PastApp {
             retry_timers: BTreeMap::new(),
             next_retry_token: 0,
             settled: BTreeMap::new(),
-            issued_reclaim_receipts: BTreeMap::new(),
-            reclaim_seen: BTreeSet::new(),
+            reclaimed: BTreeMap::new(),
             next_request_id: 0,
         }
-    }
-
-    /// True when the client-side retry layer is active.
-    fn retry_enabled(&self) -> bool {
-        self.cfg.request_timeout_us.is_some()
     }
 
     /// Registers a retransmission watch and returns the app-timer token
@@ -304,16 +304,21 @@ impl PastApp {
         token
     }
 
-    /// Registers a retransmission watch and arms its timer.
-    fn arm_retry(&mut self, op: RetryOp, delay_us: u64, cx: &mut Cx) {
+    /// Registers a retransmission watch for the `sends`-th transmission
+    /// and arms its timer, when request timeouts are configured.
+    fn arm_retry(&mut self, op: RetryOp, sends: u32, cx: &mut Cx) {
+        let Some(delay) = self.backoff_us(sends) else {
+            return;
+        };
         let token = self.register_retry(op);
-        cx.set_app_timer(delay_us, token);
+        cx.set_app_timer(delay, token);
     }
 
-    /// Exponential backoff: the base timeout doubled per transmission.
-    fn backoff_us(&self, sends: u32) -> u64 {
-        let base = self.cfg.request_timeout_us.unwrap_or(0);
-        base.saturating_mul(1u64 << sends.saturating_sub(1).min(6))
+    /// Exponential backoff: the base timeout doubled per transmission
+    /// (`None` without a configured timeout).
+    fn backoff_us(&self, sends: u32) -> Option<u64> {
+        let base = self.cfg.request_timeout_us?;
+        Some(base.saturating_mul(1u64 << sends.saturating_sub(1).min(6)))
     }
 
     // --- Client-side entry points (invoked by the harness) -------------
@@ -336,6 +341,9 @@ impl PastApp {
             .issue_file_certificate(name, &content, k, salt, now_us)?;
         let request_id = self.next_request_id;
         self.next_request_id += 1;
+        // A re-insert of a name whose earlier attempt failed reuses its
+        // fileId: the old attempt's bookkeeping must not govern this one.
+        self.settled.remove(&cert.file_id);
         self.pending_inserts.insert(
             cert.file_id,
             PendingInsert {
@@ -348,7 +356,8 @@ impl PastApp {
                 salt,
                 receipts: 0,
                 receipt_keys: BTreeSet::new(),
-                nacks: 0,
+                refusers: BTreeSet::new(),
+                unfilled: 0,
                 fatal: false,
                 sends: 1,
                 op,
@@ -369,20 +378,19 @@ impl PastApp {
         );
     }
 
-    /// Issues a reclaim certificate for a file this card owns.
+    /// Issues a reclaim certificate for a file this card owns and
+    /// registers the pending reclaim (settled by the first answer).
     pub fn begin_reclaim(&mut self, file_id: FileId, op: OpId) -> ReclaimCertificate {
         let rcert = self.card.issue_reclaim_certificate(&file_id);
-        if self.retry_enabled() {
-            self.pending_reclaims.insert(
-                file_id,
-                PendingReclaim {
-                    rcert,
-                    sends: 1,
-                    internal: false,
-                    op,
-                },
-            );
-        }
+        self.pending_reclaims.insert(
+            file_id,
+            PendingReclaim {
+                rcert,
+                sends: 1,
+                internal: false,
+                op,
+            },
+        );
         rcert
     }
 
@@ -516,50 +524,35 @@ impl PastApp {
             // (the client deduplicates by storer key either way). A
             // different certificate is a distinct insert of an existing
             // file: that copy consumed nothing new, reported as 0.
-            let same_issuance = self.retry_enabled() && f.cert == cert;
             if let Some(c) = client {
-                let stored = if same_issuance { cert.size } else { 0 };
+                let stored = if f.cert == cert { cert.size } else { 0 };
                 let receipt = self.card.issue_store_receipt(&cert.file_id, stored, false);
                 cx.send_direct(c, PastMsg::StoreAck { receipt, op });
             }
             return;
         }
         if let Some(c) = client {
-            if self.retry_enabled() {
-                // A retransmitted insert must not restart diversion: it
-                // would place a second diverted copy elsewhere. Re-probe
-                // the in-flight candidate, or the recorded holder.
-                if let Some(st) = self.pending_diverts.get(&cert.file_id) {
-                    if st.cert == cert {
-                        let (current, content) = (st.current, st.content);
-                        let me = cx.me();
-                        cx.send_direct(
-                            current,
-                            PastMsg::DivertStore {
-                                cert,
-                                content,
-                                primary: me,
-                                client: c,
-                                op,
-                            },
-                        );
-                        return;
-                    }
-                }
-                if let Some(holder) = self.store.pointer(&cert.file_id) {
-                    let me = cx.me();
-                    cx.send_direct(
-                        holder,
-                        PastMsg::DivertStore {
-                            cert,
-                            content,
-                            primary: me,
-                            client: c,
-                            op,
-                        },
-                    );
-                    return;
-                }
+            // A repeated insert (a retransmission, or a re-fan after a
+            // replica target died) must not restart diversion: it would
+            // place a second diverted copy elsewhere. Re-probe the
+            // in-flight candidate, or the recorded holder.
+            let probe = match self.pending_diverts.get(&cert.file_id) {
+                Some(st) if st.cert == cert => Some((st.current, st.content)),
+                _ => self.store.pointer(&cert.file_id).map(|h| (h, content)),
+            };
+            if let Some((target, content)) = probe {
+                let me = cx.me();
+                cx.send_direct(
+                    target,
+                    PastMsg::DivertStore {
+                        cert,
+                        content,
+                        primary: me,
+                        client: c,
+                        op,
+                    },
+                );
+                return;
             }
         }
         match self.store.insert(&cert, ReplicaKind::Primary) {
@@ -645,11 +638,17 @@ impl PastApp {
         );
     }
 
-    /// Probes the next diversion candidate, or gives up with a nack.
-    fn try_next_divert(&mut self, fid: FileId, cx: &mut Cx) {
+    /// `refuser` refused (or bounced) a diversion probe: probe the next
+    /// candidate, or give up with a nack. Only the in-flight candidate's
+    /// refusal counts; a repeated one from an earlier candidate would
+    /// skip a candidate still deciding, or nack while it stores a copy.
+    fn try_next_divert(&mut self, fid: FileId, refuser: Addr, cx: &mut Cx) {
         let Some(st) = self.pending_diverts.get_mut(&fid) else {
             return;
         };
+        if st.current != refuser {
+            return;
+        }
         if st.candidates.is_empty() {
             let (client, op) = (st.client, st.op);
             self.pending_diverts.remove(&fid);
@@ -681,20 +680,20 @@ impl PastApp {
 
     /// Records an insert response at the client and decides the attempt.
     ///
-    /// A receipt is `(storer card key, bytes stored)`; `None` is a nack.
+    /// A receipt is `Ok((storer card key, bytes stored))`; a nack is
+    /// `Err((responder, reason))`.
     fn note_insert_response(
         &mut self,
         fid: FileId,
-        receipt: Option<([u8; 32], u64)>,
-        fatal: bool,
+        response: Result<([u8; 32], u64), (Addr, NackReason)>,
         cx: &mut Cx,
     ) {
         let Some(p) = self.pending_inserts.get_mut(&fid) else {
             return;
         };
         let mut credit = 0u64;
-        match receipt {
-            Some((key, stored)) => {
+        match response {
+            Ok((key, stored)) => {
                 if p.receipt_keys.insert(key) {
                     p.receipts += 1;
                     if stored == 0 {
@@ -706,13 +705,19 @@ impl PastApp {
                     }
                 }
             }
-            None => {
-                p.nacks += 1;
-                p.fatal |= fatal;
+            Err((from, reason)) => {
+                match reason {
+                    NackReason::InsufficientNodes | NackReason::TargetDead => p.unfilled += 1,
+                    NackReason::StoreRefused | NackReason::BadCertificate => {
+                        p.refusers.insert(from);
+                    }
+                }
+                p.fatal |= reason.is_fatal();
             }
         }
         let complete = p.receipts >= p.k;
-        let failed = p.fatal || p.receipts as u32 + p.nacks >= p.k as u32;
+        let answered = p.receipts as usize + p.refusers.len() + p.unfilled as usize;
+        let failed = p.fatal || answered >= p.k as usize;
         if credit > 0 {
             self.card.credit(credit);
         }
@@ -730,54 +735,31 @@ impl PastApp {
                 receipts: p.receipts,
             });
         } else if failed {
-            self.conclude_failed_attempt(fid, cx);
+            self.conclude_failed_attempt(fid, false, cx);
         }
     }
 
     /// An attempt failed: credit unstored quota, reclaim partial copies,
     /// and retry with a fresh salt (file diversion) or give up.
-    fn conclude_failed_attempt(&mut self, fid: FileId, cx: &mut Cx) {
+    /// `timed_out` is true when the attempt ended on its retransmission
+    /// timer rather than on a full set of answers.
+    fn conclude_failed_attempt(&mut self, fid: FileId, timed_out: bool, cx: &mut Cx) {
         let Some(p) = self.pending_inserts.remove(&fid) else {
             return;
         };
-        let retrying = self.retry_enabled();
         // Unstored copies never consumed storage: credit their debit.
         let unstored = (p.k - p.receipts) as u64 * p.content.size;
         self.card.credit(unstored);
+        // Only the storers whose receipts were counted may be credited
+        // on reclaim: the rest were just returned in the "unstored"
+        // credit.
+        self.settled
+            .insert(fid, p.receipt_keys.into_iter().collect());
         // Stored partial copies are reclaimed; their receipts credit
-        // later. Under loss a holder may have stored a copy whose receipt
-        // vanished: reclaim unconditionally, and record which storers'
-        // receipts were counted — only those reclaim credits may apply,
-        // the rest were just returned in the "unstored" credit above.
-        if p.receipts > 0 || retrying {
-            if retrying {
-                self.settled
-                    .insert(fid, p.receipt_keys.iter().copied().collect());
-            }
-            let rcert = self.card.issue_reclaim_certificate(&fid);
-            let me = cx.me();
-            // Cleanup reclaims are not client operations: no attribution.
-            cx.route(
-                fid.routing_id(),
-                PastMsg::Reclaim {
-                    rcert,
-                    client: me,
-                    op: OpId::NONE,
-                },
-            );
-            if retrying {
-                self.pending_reclaims.insert(
-                    fid,
-                    PendingReclaim {
-                        rcert,
-                        sends: 1,
-                        internal: true,
-                        op: OpId::NONE,
-                    },
-                );
-                let delay = self.backoff_us(1);
-                self.arm_retry(RetryOp::Reclaim(fid), delay, cx);
-            }
+        // later. An attempt that timed out may have stored a copy whose
+        // receipt vanished, so it reclaims even without receipts.
+        if p.receipts > 0 || timed_out {
+            self.reclaim_attempt(fid, cx);
         }
         if p.attempts < self.cfg.max_insert_attempts {
             let salt = p.salt + 1;
@@ -787,6 +769,7 @@ impl PastApp {
             {
                 Ok(cert) => {
                     let new_fid = cert.file_id;
+                    self.settled.remove(&new_fid);
                     self.pending_inserts.insert(
                         new_fid,
                         PendingInsert {
@@ -799,7 +782,8 @@ impl PastApp {
                             salt,
                             receipts: 0,
                             receipt_keys: BTreeSet::new(),
-                            nacks: 0,
+                            refusers: BTreeSet::new(),
+                            unfilled: 0,
                             fatal: false,
                             sends: 1,
                             op: p.op,
@@ -817,10 +801,7 @@ impl PastApp {
                             op: p.op,
                         },
                     );
-                    if retrying {
-                        let delay = self.backoff_us(1);
-                        self.arm_retry(RetryOp::Insert(new_fid), delay, cx);
-                    }
+                    self.arm_retry(RetryOp::Insert(new_fid), 1, cx);
                 }
                 Err(_) => {
                     let (now, me) = (cx.now_us(), cx.me());
@@ -845,6 +826,31 @@ impl PastApp {
         }
     }
 
+    /// Reclaims every copy of a failed attempt's file. A cleanup is not a
+    /// client operation: no attribution, no outcome event.
+    fn reclaim_attempt(&mut self, fid: FileId, cx: &mut Cx) {
+        let rcert = self.card.issue_reclaim_certificate(&fid);
+        let me = cx.me();
+        cx.route(
+            fid.routing_id(),
+            PastMsg::Reclaim {
+                rcert,
+                client: me,
+                op: OpId::NONE,
+            },
+        );
+        self.pending_reclaims.insert(
+            fid,
+            PendingReclaim {
+                rcert,
+                sends: 1,
+                internal: true,
+                op: OpId::NONE,
+            },
+        );
+        self.arm_retry(RetryOp::Reclaim(fid), 1, cx);
+    }
+
     /// A retransmission timer fired for an insert attempt: retransmit
     /// the same certificate (holders are idempotent) or conclude.
     fn retry_insert(&mut self, fid: FileId, cx: &mut Cx) {
@@ -853,13 +859,14 @@ impl PastApp {
             return; // already completed
         };
         if p.sends >= attempts {
-            self.conclude_failed_attempt(fid, cx);
+            self.conclude_failed_attempt(fid, true, cx);
             return;
         }
         p.sends += 1;
-        // Responses count per transmission round: stale nacks from an
-        // earlier round must not conclude the fresh one early.
-        p.nacks = 0;
+        // Nacks count per transmission round: an earlier round's refusal
+        // must not conclude the fresh one early.
+        p.refusers.clear();
+        p.unfilled = 0;
         p.fatal = false;
         let sends = p.sends;
         let (cert, content, op) = (p.cert, p.content, p.op);
@@ -874,8 +881,7 @@ impl PastApp {
                 op,
             },
         );
-        let delay = self.backoff_us(sends);
-        self.arm_retry(RetryOp::Insert(fid), delay, cx);
+        self.arm_retry(RetryOp::Insert(fid), sends, cx);
     }
 
     /// A retransmission timer fired for a lookup: retransmit or fail.
@@ -905,8 +911,7 @@ impl PastApp {
                 op,
             },
         );
-        let delay = self.backoff_us(sends);
-        self.arm_retry(RetryOp::Lookup(fid), delay, cx);
+        self.arm_retry(RetryOp::Lookup(fid), sends, cx);
     }
 
     /// A retransmission timer fired for a reclaim: retransmit or fail.
@@ -915,11 +920,9 @@ impl PastApp {
             return;
         };
         if p.sends >= self.cfg.request_attempts {
-            let (internal, op) = (p.internal, p.op);
-            self.pending_reclaims.remove(&fid);
+            let internal = p.internal;
+            self.settle_reclaim(fid, false, cx);
             if !internal {
-                let (now, me) = (cx.now_us(), cx.me());
-                cx.tracer().op_end(now, op, me, "reclaim", false, 0);
                 cx.emit(PastOut::ReclaimFailed { file_id: fid });
             }
             return;
@@ -936,8 +939,19 @@ impl PastApp {
                 op,
             },
         );
-        let delay = self.backoff_us(sends);
-        self.arm_retry(RetryOp::Reclaim(fid), delay, cx);
+        self.arm_retry(RetryOp::Reclaim(fid), sends, cx);
+    }
+
+    /// Settles a pending reclaim on its first answer; a client reclaim
+    /// (not an internal cleanup) ends its op.
+    fn settle_reclaim(&mut self, fid: FileId, ok: bool, cx: &mut Cx) {
+        let Some(pending) = self.pending_reclaims.remove(&fid) else {
+            return;
+        };
+        if !pending.internal {
+            let (now, me) = (cx.now_us(), cx.me());
+            cx.tracer().op_end(now, pending.op, me, "reclaim", ok, 0);
+        }
     }
 
     /// Handles a reclaim at a holder; roots also propagate to the k-set.
@@ -968,29 +982,20 @@ impl PastApp {
             }
             replication = f.cert.replication;
             let freed = self.store.remove(&fid);
+            // Remember the release: if this ack is lost, the owner's
+            // retransmitted reclaim finds the file already gone and must
+            // still be answered, or its quota stays debited for storage
+            // nobody holds.
+            self.reclaimed
+                .insert(fid, (rcert.owner.card_key.to_bytes(), freed));
             let receipt = self.card.issue_reclaim_receipt(&fid, freed);
-            if self.retry_enabled() {
-                // Keep the receipt: if this ack is lost, the owner's
-                // retransmitted reclaim finds the file already gone and
-                // must still be answered, or its quota stays debited for
-                // storage nobody holds.
-                self.issued_reclaim_receipts
-                    .insert(fid, (rcert.owner.card_key.to_bytes(), receipt));
-            }
             cx.send_direct(client, PastMsg::ReclaimAck { receipt, op });
-        } else if self.retry_enabled() {
-            if let Some((owner, receipt)) = self.issued_reclaim_receipts.get(&fid) {
-                if *owner == rcert.owner.card_key.to_bytes() {
-                    // Retransmission of a reclaim already honored: re-ack
-                    // with the cached receipt (the client deduplicates).
-                    cx.send_direct(
-                        client,
-                        PastMsg::ReclaimAck {
-                            receipt: *receipt,
-                            op,
-                        },
-                    );
-                }
+        } else if let Some(&(owner, freed)) = self.reclaimed.get(&fid) {
+            if owner == rcert.owner.card_key.to_bytes() {
+                // A reclaim already honored: re-ack with the same receipt
+                // (the client's card credits each storer once).
+                let receipt = self.card.issue_reclaim_receipt(&fid, freed);
+                cx.send_direct(client, PastMsg::ReclaimAck { receipt, op });
             }
         }
         // Any cached copy must go even when no replica is held here:
@@ -1146,8 +1151,8 @@ impl App for PastApp {
                     h.0[0] ^= 0xff;
                     content.hash = h;
                 }
-                if self.cfg.cache_enabled && self.cfg.cache_on_insert_path {
-                    self.store.offer_cache(cert, self.cfg.cache_fraction);
+                if self.cfg.cache_enabled {
+                    self.store.offer_cache(cert);
                 }
                 true
             }
@@ -1223,56 +1228,44 @@ impl App for PastApp {
                 client,
                 op,
             } => {
-                if self.retry_enabled() {
-                    if let Some(f) = self.store.get(&cert.file_id) {
-                        if f.cert == cert {
-                            // Retransmission of a diversion already
-                            // admitted here: re-acknowledge instead of
-                            // refusing, or the lost-ack client would
-                            // never collect its receipt.
-                            let receipt =
-                                self.card
-                                    .issue_store_receipt(&cert.file_id, cert.size, true);
-                            cx.send_direct(client, PastMsg::StoreAck { receipt, op });
-                            cx.send_direct(
-                                primary,
-                                PastMsg::DivertAck {
-                                    file_id: cert.file_id,
-                                    op,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                }
+                let kind = ReplicaKind::Diverted { primary };
                 let valid = self.insert_valid(&cert, &content);
-                let admitted = valid
-                    && self.store.get(&cert.file_id).is_none()
-                    && !self.drops_stored_files
-                    && self.store.insert(&cert, ReplicaKind::Diverted).is_ok();
-                if admitted {
-                    let (now, me) = (cx.now_us(), cx.me());
-                    cx.tracer()
-                        .replica_stored(now, op, me, cert.file_id.routing_id().0, true);
-                    let receipt = self
-                        .card
-                        .issue_store_receipt(&cert.file_id, cert.size, true);
-                    cx.send_direct(client, PastMsg::StoreAck { receipt, op });
-                    cx.send_direct(
-                        primary,
-                        PastMsg::DivertAck {
-                            file_id: cert.file_id,
-                            op,
-                        },
-                    );
-                } else {
-                    cx.send_direct(
-                        primary,
-                        PastMsg::DivertNack {
-                            file_id: cert.file_id,
-                            op,
-                        },
-                    );
+                let stored = match self.store.get(&cert.file_id) {
+                    // The same primary re-probing the copy it placed here
+                    // (a repeated insert): re-acknowledge as a primary
+                    // holder would, or a client whose ack was lost would
+                    // never collect its receipt.
+                    Some(f) if valid && f.kind == kind => {
+                        Some(if f.cert == cert { cert.size } else { 0 })
+                    }
+                    // Another primary's probe: nothing is held here on
+                    // its behalf.
+                    Some(_) => None,
+                    None => {
+                        let admitted = valid
+                            && !self.drops_stored_files
+                            && self.store.insert(&cert, kind).is_ok();
+                        if admitted {
+                            let (now, me) = (cx.now_us(), cx.me());
+                            cx.tracer().replica_stored(
+                                now,
+                                op,
+                                me,
+                                cert.file_id.routing_id().0,
+                                true,
+                            );
+                        }
+                        admitted.then_some(cert.size)
+                    }
+                };
+                let file_id = cert.file_id;
+                match stored {
+                    Some(stored) => {
+                        let receipt = self.card.issue_store_receipt(&file_id, stored, true);
+                        cx.send_direct(client, PastMsg::StoreAck { receipt, op });
+                        cx.send_direct(primary, PastMsg::DivertAck { file_id, op });
+                    }
+                    None => cx.send_direct(primary, PastMsg::DivertNack { file_id, op }),
                 }
             }
             PastMsg::DivertAck { file_id, .. } => {
@@ -1281,22 +1274,27 @@ impl App for PastApp {
                 }
             }
             PastMsg::DivertNack { file_id, .. } => {
-                self.try_next_divert(file_id, cx);
+                self.try_next_divert(file_id, from, cx);
             }
             PastMsg::StoreAck { receipt, .. } => {
-                if !self.cfg.crypto_checks || receipt.verify(&self.broker_key) {
-                    self.note_insert_response(
-                        receipt.file_id,
-                        Some((receipt.storer.card_key.to_bytes(), receipt.stored)),
-                        false,
-                        cx,
-                    );
+                if self.cfg.crypto_checks && !receipt.verify(&self.broker_key) {
+                    return;
+                }
+                let (fid, storer) = (receipt.file_id, receipt.storer.card_key.to_bytes());
+                if self.pending_inserts.contains_key(&fid) {
+                    self.note_insert_response(fid, Ok((storer, receipt.stored)), cx);
+                } else if self.settled.contains_key(&fid) {
+                    // A copy stored after its attempt failed: a repeated
+                    // request reached a k-set member that had refused, or
+                    // re-stored a copy the cleanup had already freed.
+                    // Nobody else would ever free it.
+                    self.reclaim_attempt(fid, cx);
                 }
             }
             PastMsg::InsertNack {
                 file_id, reason, ..
             } => {
-                self.note_insert_response(file_id, None, reason.is_fatal(), cx);
+                self.note_insert_response(file_id, Err((from, reason)), cx);
             }
             PastMsg::LookupHop {
                 file_id,
@@ -1361,39 +1359,22 @@ impl App for PastApp {
                 self.handle_reclaim(rcert, client, op, false, state, cx);
             }
             PastMsg::ReclaimAck { receipt, .. } => {
-                let fid = receipt.file_id;
-                let freed = receipt.freed;
-                if self.retry_enabled() {
-                    // The first ack settles the pending reclaim (other
-                    // holders' acks still credit below).
-                    if let Some(pending) = self.pending_reclaims.remove(&fid) {
-                        if !pending.internal {
-                            let (now, me) = (cx.now_us(), cx.me());
-                            cx.tracer().op_end(now, pending.op, me, "reclaim", true, 0);
-                        }
-                    }
-                    let storer = receipt.storer.card_key.to_bytes();
-                    if !self.reclaim_seen.insert((fid, storer)) {
-                        return; // duplicated delivery
-                    }
-                    if let Some(counted) = self.settled.get(&fid) {
-                        if !counted.contains(&storer) {
-                            // A copy from a failed insert attempt whose
-                            // store receipt the network lost: its share
-                            // of the debit was already returned as
-                            // "unstored" when the attempt concluded, so
-                            // this reclaim must not credit it again.
-                            return;
-                        }
-                    }
+                if self.cfg.crypto_checks && !receipt.verify(&self.broker_key) {
+                    return;
                 }
-                let credited = if self.cfg.crypto_checks {
-                    self.card.credit_reclaim(&receipt, &self.broker_key).is_ok()
-                } else {
-                    self.card.credit(freed);
-                    true
-                };
-                if credited {
+                let fid = receipt.file_id;
+                // The first ack settles the pending reclaim (other
+                // holders' acks still credit below).
+                self.settle_reclaim(fid, true, cx);
+                let storer = receipt.storer.card_key.to_bytes();
+                if self.settled.get(&fid).is_some_and(|c| !c.contains(&storer)) {
+                    // A copy from a failed insert attempt whose store
+                    // receipt the network lost: its share of the debit
+                    // was already returned as "unstored" when the attempt
+                    // concluded, so this reclaim must not credit it again.
+                    return;
+                }
+                if let Ok(freed) = self.card.credit_receipt(&receipt) {
                     cx.emit(PastOut::ReclaimCredited {
                         file_id: fid,
                         freed,
@@ -1401,21 +1382,14 @@ impl App for PastApp {
                 }
             }
             PastMsg::ReclaimDenied { file_id, .. } => {
-                if self.retry_enabled() {
-                    if let Some(pending) = self.pending_reclaims.remove(&file_id) {
-                        if !pending.internal {
-                            let (now, me) = (cx.now_us(), cx.me());
-                            cx.tracer().op_end(now, pending.op, me, "reclaim", false, 0);
-                        }
-                    }
-                }
+                self.settle_reclaim(file_id, false, cx);
                 cx.emit(PastOut::ReclaimDenied { file_id });
             }
             PastMsg::CachePush { cert } => {
                 if self.cfg.cache_enabled
                     && (!self.cfg.crypto_checks || cert.verify(&self.broker_key))
                 {
-                    self.store.offer_cache(&cert, self.cfg.cache_fraction);
+                    self.store.offer_cache(&cert);
                 }
             }
             PastMsg::AuditChallenge { file_id, nonce } => {
@@ -1494,7 +1468,7 @@ impl App for PastApp {
                 }
             }
             PastMsg::DivertStore { cert, .. } => {
-                self.try_next_divert(cert.file_id, cx);
+                self.try_next_divert(cert.file_id, to, cx);
             }
             PastMsg::LookupHop {
                 file_id,
@@ -1564,7 +1538,7 @@ impl App for PastApp {
                 // copies from the members that remain.
                 self.store.remove(&cert.file_id);
                 if self.cfg.cache_enabled {
-                    self.store.offer_cache(&cert, self.cfg.cache_fraction);
+                    self.store.offer_cache(&cert);
                 }
                 continue;
             }

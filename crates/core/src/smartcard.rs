@@ -27,8 +27,8 @@ pub enum CardError {
         /// Bytes remaining on the card.
         remaining: u64,
     },
-    /// A reclaim receipt failed verification or was replayed.
-    BadReceipt,
+    /// A reclaim receipt was already credited.
+    ReplayedReceipt,
 }
 
 impl std::fmt::Display for CardError {
@@ -40,7 +40,7 @@ impl std::fmt::Display for CardError {
                     "quota exceeded: need {needed} bytes, {remaining} remaining"
                 )
             }
-            CardError::BadReceipt => write!(f, "invalid or replayed reclaim receipt"),
+            CardError::ReplayedReceipt => write!(f, "reclaim receipt already credited"),
         }
     }
 }
@@ -189,18 +189,12 @@ impl Smartcard {
     /// Credits the quota from a reclaim receipt; each (file, storer) pair
     /// is accepted once ("when the client presents an appropriate reclaim
     /// receipt issued by a storage node, the amount reclaimed is
-    /// credited").
-    pub fn credit_reclaim(
-        &mut self,
-        receipt: &ReclaimReceipt,
-        broker: &PublicKey,
-    ) -> Result<u64, CardError> {
-        if !receipt.verify(broker) {
-            return Err(CardError::BadReceipt);
-        }
+    /// credited"). This is the one place duplicated receipts are caught;
+    /// the caller verifies the receipt's signature first.
+    pub fn credit_receipt(&mut self, receipt: &ReclaimReceipt) -> Result<u64, CardError> {
         let key = (receipt.file_id, receipt.storer.card_key.to_bytes());
         if !self.credited.insert(key) {
-            return Err(CardError::BadReceipt);
+            return Err(CardError::ReplayedReceipt);
         }
         self.credit(receipt.freed);
         Ok(receipt.freed)
@@ -293,15 +287,13 @@ mod tests {
         let cert = card.issue_file_certificate("f", &content, 2, 0, 0).unwrap();
         assert_eq!(card.quota_remaining(), 800);
         let receipt = storer.issue_reclaim_receipt(&cert.file_id, 100);
-        assert_eq!(
-            card.credit_reclaim(&receipt, &broker.public()).unwrap(),
-            100
-        );
+        assert!(receipt.verify(&broker.public()));
+        assert_eq!(card.credit_receipt(&receipt).unwrap(), 100);
         assert_eq!(card.quota_remaining(), 900);
         // Replay is rejected.
         assert_eq!(
-            card.credit_reclaim(&receipt, &broker.public()),
-            Err(CardError::BadReceipt)
+            card.credit_receipt(&receipt),
+            Err(CardError::ReplayedReceipt)
         );
         assert_eq!(card.quota_remaining(), 900);
     }
@@ -325,10 +317,7 @@ mod tests {
         let cert = card.issue_file_certificate("f", &content, 1, 0, 0).unwrap();
         let receipt = rogue_card.issue_reclaim_receipt(&cert.file_id, 999);
         // Receipt is from a card certified by a different broker.
-        assert_eq!(
-            card.credit_reclaim(&receipt, &broker.public()),
-            Err(CardError::BadReceipt)
-        );
-        let _ = rogue_broker;
+        assert!(!receipt.verify(&broker.public()));
+        assert!(receipt.verify(&rogue_broker.public()));
     }
 }

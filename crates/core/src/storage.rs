@@ -35,8 +35,12 @@ pub enum RefuseReason {
 pub enum ReplicaKind {
     /// One of the k numerically closest nodes.
     Primary,
-    /// Held on behalf of a full leaf-set neighbor.
-    Diverted,
+    /// Held on behalf of a full leaf-set neighbor: the primary it was
+    /// admitted for, the only node whose re-probe is re-acknowledged.
+    Diverted {
+        /// The k-set member that diverted the copy here.
+        primary: Addr,
+    },
 }
 
 /// A stored replica.
@@ -138,7 +142,7 @@ impl Store {
         }
         let t = match kind {
             ReplicaKind::Primary => self.t_pri,
-            ReplicaKind::Diverted => self.t_div,
+            ReplicaKind::Diverted { .. } => self.t_div,
         };
         if free == 0 || size as f64 / free as f64 > t {
             return Err(RefuseReason::Threshold);
@@ -209,12 +213,11 @@ impl Store {
     }
 
     /// Offers a passing file to the cache (bounded by current free space).
-    pub fn offer_cache(&mut self, cert: &FileCertificate, max_fraction: f64) -> bool {
+    pub fn offer_cache(&mut self, cert: &FileCertificate) -> bool {
         if self.files.contains_key(&cert.file_id) {
             return false;
         }
-        let budget = (self.free() as f64 * max_fraction.clamp(0.0, 1.0)) as u64;
-        self.cache.offer(cert, budget.min(self.free()))
+        self.cache.offer(cert, self.free())
     }
 }
 
@@ -242,11 +245,9 @@ mod tests {
             Err(RefuseReason::Threshold)
         );
         // Diverted: tighter.
-        assert!(s.admits(50, ReplicaKind::Diverted).is_ok());
-        assert_eq!(
-            s.admits(51, ReplicaKind::Diverted),
-            Err(RefuseReason::Threshold)
-        );
+        let diverted = ReplicaKind::Diverted { primary: 7 };
+        assert!(s.admits(50, diverted).is_ok());
+        assert_eq!(s.admits(51, diverted), Err(RefuseReason::Threshold));
         assert_eq!(
             s.admits(2000, ReplicaKind::Primary),
             Err(RefuseReason::NoSpace)
@@ -322,7 +323,7 @@ mod tests {
     fn cache_borrows_free_space_and_yields_it() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let cached = cert_of(500, 1);
-        assert!(s.offer_cache(&cached, 1.0));
+        assert!(s.offer_cache(&cached));
         assert_eq!(s.cache.used(), 500);
         // Primary insert still sees the full free space and evicts cache.
         let primary = cert_of(900, 2);
@@ -340,7 +341,7 @@ mod tests {
         assert_eq!(got.file_id, c.file_id);
         assert!(!from_cache);
         let d = cert_of(50, 2);
-        assert!(s.offer_cache(&d, 1.0));
+        assert!(s.offer_cache(&d));
         let (_, from_cache) = s.serve(&d.file_id).unwrap();
         assert!(from_cache);
         assert!(s.serve(&cert_of(10, 3).file_id).is_none());
@@ -350,7 +351,7 @@ mod tests {
     fn inserting_a_cached_file_drops_the_cache_copy() {
         let mut s = Store::new(1000, 1.0, 1.0);
         let c = cert_of(100, 1);
-        assert!(s.offer_cache(&c, 1.0));
+        assert!(s.offer_cache(&c));
         assert!(s.insert(&c, ReplicaKind::Primary).is_ok());
         assert!(!s.cache.contains(&c.file_id));
         assert!(s.can_serve(&c.file_id));

@@ -315,7 +315,7 @@ fn full_nodes_divert_replicas_to_leaf_neighbors() {
             let st = &net.sim.engine.node(a).app.store;
             if st
                 .files()
-                .any(|(_, f)| f.kind == past_core::ReplicaKind::Diverted)
+                .any(|(_, f)| matches!(f.kind, past_core::ReplicaKind::Diverted { .. }))
             {
                 diverted_seen = true;
             }
@@ -457,7 +457,6 @@ fn popular_files_get_cached_and_served_from_cache() {
 fn cache_disabled_means_no_cache_hits() {
     let cfg = PastConfig {
         cache_enabled: false,
-        cache_on_insert_path: false,
         ..PastConfig::default()
     };
     let mut net = build(40, 16, 100 * MB, 1_000 * MB, cfg);
@@ -607,7 +606,6 @@ fn reclaimed_diverted_file_is_not_served_from_stale_state() {
         t_pri: 0.6,
         t_div: 0.55,
         cache_enabled: false,
-        cache_on_insert_path: false,
         ..PastConfig::default()
     };
     let mut net = build(30, 26, 12 * MB, 10_000 * MB, cfg);
@@ -662,4 +660,299 @@ fn duplicate_insert_conserves_quota_exactly() {
     let q2 = net.sim.engine.node(4).app.card.quota_remaining();
     assert_eq!(q2, q1, "duplicate insert must not leak quota");
     assert_clean("after duplicate insert", &check_quota(&net.snapshot()));
+}
+
+/// One storage-pressure run: waves of concurrent k = 5 inserts into
+/// small disks (so full k-set members divert replicas, often to the same
+/// leaf-set neighbour), each followed by a few reclaims. Returns every
+/// outcome with its node, without timestamps, and the message total.
+fn pressure_run(request_timeout_us: Option<u64>) -> (Vec<String>, u64) {
+    let cfg = PastConfig {
+        crypto_checks: false,
+        request_timeout_us,
+        ..PastConfig::default()
+    };
+    let n = 60;
+    let mut net = build(n, 33, 24 * MB, 100_000 * MB, cfg);
+    let mut rng = Rng::seed_from_u64(33);
+    let mut outcomes = Vec::new();
+    let mut live = Vec::new();
+    for wave in 0..6 {
+        for i in 0..40 {
+            let name = format!("w{wave}-{i}");
+            let size = rng.random_range(MB / 4..=3 * MB);
+            let client = rng.random_range(0..n);
+            let content = ContentRef::synthetic(client, &name, size);
+            net.insert(client, &name, content, 5).unwrap();
+        }
+        let mut events = net.run();
+        for _ in 0..8 {
+            if live.is_empty() {
+                break;
+            }
+            let (owner, fid) = live.swap_remove(rng.random_range(0..live.len()));
+            net.reclaim(owner, fid);
+        }
+        events.extend(net.run());
+        for (_, node, out) in events {
+            if let PastOut::InsertOk { file_id, .. } = out {
+                live.push((node, file_id));
+            }
+            outcomes.push(format!("{node} {out:?}"));
+        }
+    }
+    (outcomes, net.sim.engine.stats().total_msgs)
+}
+
+#[test]
+fn request_timeouts_do_not_change_a_lossless_run() {
+    // Regression: with timeouts set, a diverted-replica holder re-acked
+    // any primary's probe for a certificate it held, so two full k-set
+    // members diverting one file to the same neighbour left the second
+    // one's slot unanswered and the insert retransmitted on a lossless
+    // network. Timers set beyond any op's latency must change nothing.
+    let (plain, plain_msgs) = pressure_run(None);
+    let (timed, timed_msgs) = pressure_run(Some(50_000_000));
+    assert!(
+        plain.iter().any(|o| o.contains("InsertFailed")),
+        "the run must reach storage pressure"
+    );
+    assert_eq!(plain, timed, "same outcomes with and without timeouts");
+    assert_eq!(plain_msgs, timed_msgs, "same message total");
+}
+
+#[test]
+fn reclaim_ends_its_op_without_request_timeouts() {
+    // Regression: without request timeouts a reclaim never recorded
+    // `op_end`, so the lifecycle trace reported it as stuck.
+    use past_trace::analyze::{analyze, parse_jsonl};
+    use past_trace::TraceConfig;
+    let mut net = build(40, 8, 100 * MB, 1_000 * MB, PastConfig::default());
+    net.sim.engine.set_tracing(TraceConfig::lifecycle());
+    let client = 5;
+    let content = ContentRef::synthetic(client, "traced", MB);
+    net.insert(client, "traced", content, 3).unwrap();
+    let fid = insert_ok(&net.run())[0].1;
+    net.lookup(11, fid);
+    net.run();
+    net.reclaim(client, fid);
+    net.run();
+    let recs = parse_jsonl(&net.sim.engine.take_tracer().to_jsonl()).unwrap();
+    let report = analyze(&recs, pastry_cfg().b.into());
+    assert_eq!(report.ops.len(), 3, "insert, lookup and reclaim traced");
+    assert!(report.clean(), "stuck ops: {:?}", report.stuck);
+}
+
+#[test]
+fn duplicated_reclaim_ack_credits_quota_once() {
+    // Duplicate reclaim credits are caught by the card alone, whether
+    // or not receipts are verified. With verification on, a receipt
+    // signed by a card of another broker credits nothing.
+    use past_core::{Broker, PastMsg};
+    use past_netsim::OpId;
+    use past_pastry::PastryMsg;
+    for crypto_checks in [true, false] {
+        let cfg = PastConfig {
+            crypto_checks,
+            ..PastConfig::default()
+        };
+        let mut net = build(30, 12, 100 * MB, 1_000 * MB, cfg);
+        let client = 3;
+        let content = ContentRef::synthetic(client, "twice", 2 * MB);
+        net.insert(client, "twice", content, 3).unwrap();
+        let fid = insert_ok(&net.run())[0].1;
+        let holders = net.replica_holders(&fid);
+        let quota = net.sim.engine.node(client).app.card.quota_remaining();
+        net.reclaim(client, fid);
+        let mut events = net.run();
+        // Every holder's ack arrives twice more, e.g. duplicated by the
+        // network.
+        for &h in &holders {
+            let receipt = net
+                .sim
+                .engine
+                .node(h)
+                .app
+                .card
+                .issue_reclaim_receipt(&fid, 2 * MB);
+            for _ in 0..2 {
+                let payload = PastMsg::ReclaimAck {
+                    receipt,
+                    op: OpId::NONE,
+                };
+                net.sim
+                    .engine
+                    .inject(h, client, PastryMsg::AppDirect { payload }, 0);
+            }
+        }
+        if crypto_checks {
+            let rogue = Broker::new(b"rogue").issue_card(b"rogue-storer", 0, 0);
+            let payload = PastMsg::ReclaimAck {
+                receipt: rogue.issue_reclaim_receipt(&fid, 2 * MB),
+                op: OpId::NONE,
+            };
+            net.sim
+                .engine
+                .inject(holders[0], client, PastryMsg::AppDirect { payload }, 0);
+        }
+        events.extend(net.run());
+        let credits = events
+            .iter()
+            .filter(|(_, _, e)| matches!(e, PastOut::ReclaimCredited { .. }))
+            .count();
+        assert_eq!(credits, 3, "one credit per holder (crypto {crypto_checks})");
+        assert_eq!(
+            net.sim.engine.node(client).app.card.quota_remaining(),
+            quota + 3 * 2 * MB,
+            "quota credited once per holder (crypto {crypto_checks})"
+        );
+    }
+}
+
+#[test]
+fn duplicated_requests_leave_no_stray_copies() {
+    // Regression: a failed attempt sends its cleanup reclaim only when it
+    // stored something or timed out, so under duplication every way to
+    // store a copy after the attempt failed must be closed: a repeated
+    // nack ending the attempt early (nacks count once per responder), a
+    // repeated `DivertNack` making a primary give up while its candidate
+    // stores (only the in-flight candidate's refusal counts), and a
+    // repeated request re-storing a copy the cleanup had freed (a late
+    // store receipt triggers another cleanup). Such a copy's debit was
+    // already returned, so quota conservation (I5) catches it. With the
+    // timer rule alone I5 broke on seeds 3 and 7; without the late-receipt
+    // cleanup, on seed 14.
+    use past_invariants::{assert_clean, check_all};
+    use past_netsim::FaultConfig;
+    let cfg = PastConfig {
+        crypto_checks: false,
+        request_timeout_us: Some(800_000),
+        request_attempts: 5,
+        ..PastConfig::default()
+    };
+    for seed in [3, 5, 7, 14] {
+        let n = 40;
+        let mut net = build(n, seed, 30 * MB, 100_000 * MB, cfg);
+        let faults = FaultConfig {
+            loss: 0.0,
+            duplicate: 0.3,
+            jitter_us: 20_000,
+        };
+        net.sim.engine.set_faults(faults, seed ^ 0xfa17);
+        // Continue the stream `build` drew the node ids from.
+        let mut rng = Rng::seed_from_u64(seed);
+        random_ids(n, &mut rng);
+        for wave in 0..4 {
+            for i in 0..30 {
+                let name = format!("s{wave}-{i}");
+                let size = rng.random_range(MB / 2..=3 * MB);
+                let client = rng.random_range(0..n);
+                let content = ContentRef::synthetic(client, &name, size);
+                net.insert(client, &name, content, 5).unwrap();
+            }
+            net.run();
+        }
+        assert_clean(&format!("seed {seed}"), &check_all(&net.snapshot()));
+    }
+}
+
+/// Inserts `name` so large that every node refuses it, then re-inserts
+/// the same name at a size that fits. The second insert's first attempt
+/// reuses the fileId (salt 0) of the first insert's failed attempt.
+/// Returns the network, the client and that fileId.
+fn reinsert_after_failed_attempt() -> (PastNetwork<Sphere>, usize, FileId) {
+    let mut net = build(30, 41, 100 * MB, 1_000 * MB, PastConfig::default());
+    let client = 6;
+    let huge = ContentRef::synthetic(client, "again", 200 * MB);
+    net.insert(client, "again", huge, 3).unwrap();
+    let events = net.run();
+    assert!(
+        events
+            .iter()
+            .any(|(_, _, e)| matches!(e, PastOut::InsertFailed { .. })),
+        "a file larger than every disk is refused: {events:?}"
+    );
+    let fits = ContentRef::synthetic(client, "again", 2 * MB);
+    net.insert(client, "again", fits, 3).unwrap();
+    let events = net.run();
+    let ok: Vec<_> = events
+        .iter()
+        .filter_map(|(_, _, e)| match e {
+            PastOut::InsertOk {
+                file_id, attempts, ..
+            } => Some((*file_id, *attempts)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(ok.len(), 1, "the re-insert succeeds: {events:?}");
+    assert_eq!(ok[0].1, 1, "on its first attempt, under the old fileId");
+    (net, client, ok[0].0)
+}
+
+#[test]
+fn reinsert_of_a_failed_name_is_reclaimed_in_full() {
+    // Regression: a failed attempt's record of which storers it counted
+    // outlived the attempt. A later insert of the same name reuses the
+    // fileId, so reclaiming the new file dropped the credits of every
+    // storer the failed attempt had not counted, leaking quota.
+    use past_invariants::{assert_clean, check_quota};
+    let (mut net, client, fid) = reinsert_after_failed_attempt();
+    let before = net.sim.engine.node(client).app.card.quota_remaining();
+    net.reclaim(client, fid);
+    let events = net.run();
+    let credits = events
+        .iter()
+        .filter(|(_, _, e)| matches!(e, PastOut::ReclaimCredited { .. }))
+        .count();
+    assert_eq!(credits, 3, "every holder's receipt is credited");
+    assert_eq!(
+        net.sim.engine.node(client).app.card.quota_remaining(),
+        before + 3 * 2 * MB
+    );
+    assert_eq!(
+        net.sim.engine.node(client).app.card.quota_remaining(),
+        1_000 * MB,
+        "the whole quota is back"
+    );
+    assert_clean("after reclaim", &check_quota(&net.snapshot()));
+}
+
+#[test]
+fn late_store_receipt_does_not_reclaim_a_live_reinsert() {
+    // Regression: a store receipt that arrives after an attempt failed
+    // triggers a cleanup reclaim. A repeated receipt for the live
+    // re-insert of that name must not: it would delete a file whose
+    // insert was acknowledged.
+    use past_core::PastMsg;
+    use past_netsim::OpId;
+    use past_pastry::PastryMsg;
+    let (mut net, client, fid) = reinsert_after_failed_attempt();
+    let holders = net.replica_holders(&fid);
+    assert_eq!(holders.len(), 3);
+    for &h in &holders {
+        let receipt = net
+            .sim
+            .engine
+            .node(h)
+            .app
+            .card
+            .issue_store_receipt(&fid, 2 * MB, false);
+        let payload = PastMsg::StoreAck {
+            receipt,
+            op: OpId::NONE,
+        };
+        net.sim
+            .engine
+            .inject(h, client, PastryMsg::AppDirect { payload }, 0);
+    }
+    net.run();
+    assert_eq!(net.replica_holders(&fid).len(), 3, "every copy survives");
+    net.lookup(17, fid);
+    let events = net.run();
+    assert!(
+        events
+            .iter()
+            .any(|(_, _, e)| matches!(e, PastOut::LookupOk { file_id, .. } if *file_id == fid)),
+        "the file is still served: {events:?}"
+    );
 }

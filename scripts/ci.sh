@@ -54,6 +54,11 @@ cargo build --offline --release --manifest-path pastbench/Cargo.toml
 echo "== cargo test -q"
 cargo test --offline -q --workspace
 
+# The benchmark's own unit tests (its statistics and JSON helpers) live
+# outside the workspace, so `--workspace` does not reach them.
+echo "== cargo test -q (pastbench)"
+cargo test --offline -q --manifest-path pastbench/Cargo.toml
+
 echo "== codec fuzz smoke (wire decode must be total on mutated frames)"
 cargo test --offline -q -p past --test wire decode_never_panics_on_mutated_frames
 
