@@ -97,16 +97,22 @@ impl Cache {
         self.entries.contains_key(id)
     }
 
+    /// False if [`Self::offer`] would refuse `cert` outright: an empty
+    /// file, one larger than `budget`, or one already cached.
+    pub(crate) fn may_take(&self, cert: &FileCertificate, budget: u64) -> bool {
+        cert.size != 0 && cert.size <= budget && !self.entries.contains_key(&cert.file_id)
+    }
+
     /// Offers a file for caching within `budget` total bytes.
     ///
     /// Evicts lowest-credit entries to fit; refuses files that would not
     /// fit even after evicting everything, or whose credit is below every
     /// incumbent's (GD-S admission).
     pub fn offer(&mut self, cert: &FileCertificate, budget: u64) -> bool {
-        let size = cert.size;
-        if size == 0 || size > budget || self.entries.contains_key(&cert.file_id) {
+        if !self.may_take(cert, budget) {
             return false;
         }
+        let size = cert.size;
         let new_h = self.credit(size);
         // Evict until it fits, but never evict an entry more valuable than
         // the newcomer.

@@ -29,10 +29,13 @@ pub struct CardCert {
 }
 
 impl CardCert {
-    /// Message the broker signs when certifying a card.
-    pub fn message(card_key: &PublicKey) -> Vec<u8> {
-        let mut m = b"past-card-cert-v1".to_vec();
-        m.extend_from_slice(&card_key.to_bytes());
+    /// Message the broker signs when certifying a card: the domain tag
+    /// followed by the card key (a fixed 49 bytes, built on the stack).
+    pub fn message(card_key: &PublicKey) -> [u8; 49] {
+        const TAG: &[u8] = b"past-card-cert-v1";
+        let mut m = [0u8; 49];
+        m[..TAG.len()].copy_from_slice(TAG);
+        m[TAG.len()..].copy_from_slice(&card_key.to_bytes());
         m
     }
 

@@ -265,10 +265,19 @@ pub struct PastApp {
     /// receipt is re-signed on demand; signatures are deterministic, so
     /// it is the very receipt first sent.
     reclaimed: BTreeMap<FileId, ([u8; 32], u64)>,
+    /// The last certificate per fileId that passed verification on a
+    /// lookup, at most [`VERIFIED_CERTS_CAP`] of them.
+    verified_certs: BTreeMap<FileId, FileCertificate>,
     next_request_id: u64,
 }
 
 type Cx<'a, 'b> = AppCtx<'a, 'b, PastMsg, PastOut>;
+
+/// Most file certificates a node remembers as verified (see
+/// [`PastApp::lookup_cert_valid`]). An entry is about 300 bytes, so a
+/// full memo costs a node about 150 KB; past the bound, the entry with
+/// the smallest fileId makes room.
+pub const VERIFIED_CERTS_CAP: usize = 512;
 
 impl PastApp {
     /// Creates a node application with the given card and capacity.
@@ -290,8 +299,14 @@ impl PastApp {
             next_retry_token: 0,
             settled: BTreeMap::new(),
             reclaimed: BTreeMap::new(),
+            verified_certs: BTreeMap::new(),
             next_request_id: 0,
         }
+    }
+
+    /// Number of certificates remembered as verified.
+    pub fn verified_cert_count(&self) -> usize {
+        self.verified_certs.len()
     }
 
     /// Registers a retransmission watch and returns the app-timer token
@@ -458,6 +473,26 @@ impl PastApp {
                 cx.send_direct(p, PastMsg::CachePush { cert });
             }
         }
+        true
+    }
+
+    /// Checks the certificate a lookup returned. A certificate equal in
+    /// every field (both signatures and the owner credential included)
+    /// to one that already passed needs no second check: verification is
+    /// a pure function of the certificate and the broker key.
+    fn lookup_cert_valid(&mut self, cert: &FileCertificate) -> bool {
+        if !self.cfg.crypto_checks || self.verified_certs.get(&cert.file_id) == Some(cert) {
+            return true;
+        }
+        if !cert.verify(&self.broker_key) {
+            return false;
+        }
+        if self.verified_certs.len() >= VERIFIED_CERTS_CAP
+            && !self.verified_certs.contains_key(&cert.file_id)
+        {
+            self.verified_certs.pop_first();
+        }
+        self.verified_certs.insert(cert.file_id, *cert);
         true
     }
 
@@ -1330,7 +1365,7 @@ impl App for PastApp {
                     // "The file certificate is returned along with the
                     // file, and allows the client to verify that the
                     // contents are authentic."
-                    let verified = !self.cfg.crypto_checks || cert.verify(&self.broker_key);
+                    let verified = self.lookup_cert_valid(&cert);
                     let (now, me) = (cx.now_us(), cx.me());
                     cx.tracer()
                         .op_end(now, pending.op, me, "lookup", verified, 0);
@@ -1386,7 +1421,10 @@ impl App for PastApp {
                 cx.emit(PastOut::ReclaimDenied { file_id });
             }
             PastMsg::CachePush { cert } => {
+                // The store's outright refusals read only the fileId and
+                // size, so they run before the signature check.
                 if self.cfg.cache_enabled
+                    && self.store.may_cache(&cert)
                     && (!self.cfg.crypto_checks || cert.verify(&self.broker_key))
                 {
                     self.store.offer_cache(&cert);

@@ -219,6 +219,14 @@ impl Store {
         }
         self.cache.offer(cert, self.free())
     }
+
+    /// False if [`Self::offer_cache`] would refuse `cert` outright: the
+    /// file is already stored or cached, is empty, or exceeds the free
+    /// space. Reads nothing but the fileId and size, so a caller can run
+    /// it before paying for a signature check.
+    pub fn may_cache(&self, cert: &FileCertificate) -> bool {
+        !self.files.contains_key(&cert.file_id) && self.cache.may_take(cert, self.free())
+    }
 }
 
 #[cfg(test)]

@@ -956,3 +956,169 @@ fn late_store_receipt_does_not_reclaim_a_live_reinsert() {
         "the file is still served: {events:?}"
     );
 }
+
+/// The lookup outcomes `client` saw for `fid`: `true` per `LookupOk`,
+/// `false` per `LookupFailed`.
+fn lookup_outcomes(events: &[past_core::PastEvent], client: usize, fid: FileId) -> Vec<bool> {
+    events
+        .iter()
+        .filter(|(_, a, _)| *a == client)
+        .filter_map(|(_, _, e)| match e {
+            PastOut::LookupOk { file_id, .. } if *file_id == fid => Some(true),
+            PastOut::LookupFailed { file_id } if *file_id == fid => Some(false),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn verified_certificate_memo_rejects_a_changed_certificate() {
+    // A client that has verified F's certificate once must still reject
+    // a later reply for F whose certificate differs from it in a signed
+    // field, or that is signed by a card the broker never certified.
+    use past_core::{CardCert, FileCertificate, PastMsg};
+    use past_crypto::KeyPair;
+    use past_netsim::OpId;
+    use past_pastry::PastryMsg;
+    let mut net = build(30, 31, 100 * MB, 1_000 * MB, PastConfig::default());
+    let (publisher, client) = (0, 17);
+    let content = ContentRef::synthetic(4, "memo", MB);
+    net.insert(publisher, "memo", content, 3).unwrap();
+    let fid = insert_ok(&net.run())[0].1;
+    net.lookup(client, fid);
+    assert_eq!(lookup_outcomes(&net.run(), client, fid), vec![true]);
+    assert_eq!(net.sim.engine.node(client).app.verified_cert_count(), 1);
+    let server = net.replica_holders(&fid)[0];
+    let genuine = net
+        .sim
+        .engine
+        .node(server)
+        .app
+        .store
+        .get(&fid)
+        .unwrap()
+        .cert;
+
+    let mut tampered = genuine;
+    tampered.inserted_at += 1;
+    // A card that certified itself in the broker's name, signing F's
+    // fields correctly: only the broker → card link is false.
+    let rogue_keys = KeyPair::from_seed(b"rogue-owner");
+    let rogue = FileCertificate {
+        owner: CardCert {
+            card_key: rogue_keys.public,
+            broker_key: net.broker.public(),
+            broker_sig: rogue_keys.sign(&CardCert::message(&rogue_keys.public)),
+        },
+        signature: rogue_keys.sign(&FileCertificate::message(
+            &fid,
+            &genuine.content_hash,
+            genuine.size,
+            genuine.replication,
+            genuine.salt,
+            genuine.inserted_at,
+        )),
+        ..genuine
+    };
+    for forged in [tampered, rogue] {
+        assert_ne!(forged, genuine);
+        let now = net.sim.engine.now().as_micros();
+        net.sim
+            .engine
+            .node_mut(client)
+            .app
+            .begin_lookup(fid, now, OpId::NONE);
+        let payload = PastMsg::FileReply {
+            cert: forged,
+            from_cache: false,
+            op: OpId::NONE,
+        };
+        net.sim
+            .engine
+            .inject(server, client, PastryMsg::AppDirect { payload }, 0);
+        assert_eq!(
+            lookup_outcomes(&net.run(), client, fid),
+            vec![false],
+            "a changed certificate is verified anew and fails: {forged:?}"
+        );
+    }
+
+    // The memo still holds the genuine certificate, and serves it.
+    net.lookup(client, fid);
+    assert_eq!(lookup_outcomes(&net.run(), client, fid), vec![true]);
+    assert_eq!(net.sim.engine.node(client).app.verified_cert_count(), 1);
+}
+
+#[test]
+fn verified_certificate_memo_stays_within_its_bound() {
+    use past_core::node::VERIFIED_CERTS_CAP;
+    let mut net = build(24, 32, 1_000 * MB, 1_000 * MB, PastConfig::default());
+    let (publisher, client) = (2, 9);
+    let files = VERIFIED_CERTS_CAP + 40;
+    for i in 0..files {
+        let name = format!("bound-{i}");
+        let content = ContentRef::synthetic(publisher, &name, 1 << 10);
+        net.insert(publisher, &name, content, 1).unwrap();
+    }
+    let fids: Vec<FileId> = insert_ok(&net.run()).into_iter().map(|(_, f)| f).collect();
+    assert_eq!(fids.len(), files);
+    // Every file twice: the second round runs after evictions.
+    for _ in 0..2 {
+        for &fid in &fids {
+            net.lookup(client, fid);
+        }
+        let events = net.run();
+        for &fid in &fids {
+            assert_eq!(lookup_outcomes(&events, client, fid), vec![true]);
+        }
+        assert_eq!(
+            net.sim.engine.node(client).app.verified_cert_count(),
+            VERIFIED_CERTS_CAP
+        );
+    }
+}
+
+#[test]
+fn forged_cache_push_is_refused() {
+    // A node takes a pushed cache copy only if its certificate verifies;
+    // the cheap store checks run first but do not replace the signature
+    // check.
+    use past_core::{Broker, PastMsg};
+    use past_pastry::PastryMsg;
+    let mut net = build(20, 33, 100 * MB, 1_000 * MB, PastConfig::default());
+    let (pusher, target) = (1, 11);
+    let content = ContentRef::synthetic(5, "pushed", MB);
+    let genuine = net
+        .broker
+        .issue_card(b"push-owner", 1_000 * MB, 0)
+        .issue_file_certificate("pushed", &content, 3, 0, 7)
+        .unwrap();
+    let fid = genuine.file_id;
+    assert!(net.sim.engine.node(target).app.store.may_cache(&genuine));
+
+    let mut tampered = genuine;
+    tampered.size += 1;
+    let mut rogue = Broker::new(b"rogue")
+        .issue_card(b"rogue-owner", 1_000 * MB, 0)
+        .issue_file_certificate("pushed", &content, 3, 0, 7)
+        .unwrap();
+    rogue.file_id = fid;
+    for forged in [tampered, rogue] {
+        let payload = PastMsg::CachePush { cert: forged };
+        net.sim
+            .engine
+            .inject(pusher, target, PastryMsg::AppDirect { payload }, 0);
+        net.run();
+        let store = &net.sim.engine.node(target).app.store;
+        assert!(store.cache.is_empty(), "forged push cached: {forged:?}");
+        assert!(store.get(&fid).is_none());
+    }
+
+    // The same push, genuinely signed, is taken.
+    let payload = PastMsg::CachePush { cert: genuine };
+    net.sim
+        .engine
+        .inject(pusher, target, PastryMsg::AppDirect { payload }, 0);
+    net.run();
+    assert_eq!(net.cache_holders(&fid), vec![target]);
+}

@@ -6,6 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Warnings are errors in the workspace. Every workspace step sees the
+# same flags, so they all share one build cache.
+export RUSTFLAGS="-D warnings"
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -47,9 +51,11 @@ cargo build --offline --release --workspace
 
 # The operations benchmark is its own workspace, so the workspace build
 # above does not compile it; build it here so an API change that breaks
-# it fails CI rather than the benchmark run.
+# it fails CI rather than the benchmark run. The benchmark keeps an
+# unused import, so its steps run without the workspace's deny-warnings
+# flags (it has its own target directory, so no cache is shared).
 echo "== cargo build --release (pastbench)"
-cargo build --offline --release --manifest-path pastbench/Cargo.toml
+env -u RUSTFLAGS cargo build --offline --release --manifest-path pastbench/Cargo.toml
 
 echo "== cargo test -q"
 cargo test --offline -q --workspace
@@ -57,7 +63,7 @@ cargo test --offline -q --workspace
 # The benchmark's own unit tests (its statistics and JSON helpers) live
 # outside the workspace, so `--workspace` does not reach them.
 echo "== cargo test -q (pastbench)"
-cargo test --offline -q --manifest-path pastbench/Cargo.toml
+env -u RUSTFLAGS cargo test --offline -q --manifest-path pastbench/Cargo.toml
 
 echo "== codec fuzz smoke (wire decode must be total on mutated frames)"
 cargo test --offline -q -p past --test wire decode_never_panics_on_mutated_frames
